@@ -180,9 +180,11 @@ class ControllerConfig:
 
 #: The one registry of simulation-core variants, shared by
 #: :class:`GPUConfig` validation and the CLI ``--engine-core`` choices.
-#: ``"event"``: event-driven core (per-SM sleep skipping, two-tier warp wake
-#: queues).  ``"scan"``: reference per-cycle-scan core kept for differential
-#: testing.  ``"batch"``: windowed struct-of-arrays core
+#: All three share one warp-issue path (``SM.step`` over the scan selection
+#: of :mod:`repro.sim.scheduler`) and differ in the engine loop.
+#: ``"event"``: per-SM sleep skipping (SMs whose schedulers all sleep are not
+#: stepped).  ``"scan"``: reference loop stepping every SM every cycle, kept
+#: for differential testing.  ``"batch"``: windowed struct-of-arrays core
 #: (:mod:`repro.sim.batch`) that advances whole SMs in bulk between
 #: control-flow edges.  All three produce record-for-record identical
 #: results.

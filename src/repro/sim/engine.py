@@ -86,7 +86,7 @@ class GPUSimulator:
         self.policy = policy if policy is not None else SharingPolicy()
         self.memory = MemorySubsystem(config, self.num_kernels)
         self.runtimes = [
-            KernelRuntime(idx, launch.spec, config.memory.line_size)
+            KernelRuntime(idx, launch.spec, config.memory)
             for idx, launch in enumerate(kernels)
         ]
         self.kernel_stats = [KernelStats() for _ in kernels]
@@ -211,7 +211,7 @@ class GPUSimulator:
         self.kernels.append(launch)
         self.num_kernels = idx + 1
         self.runtimes.append(
-            KernelRuntime(idx, launch.spec, self.config.memory.line_size))
+            KernelRuntime(idx, launch.spec, self.config.memory))
         self.kernel_stats.append(KernelStats())
         self.memory.add_kernel()
         for sm in self.sms:

@@ -1,15 +1,20 @@
 """Differential tests: the performance cores vs the reference scan core.
 
-Both performance reworks must produce record-for-record identical
-:class:`SimulationResult`s — and identical idle-warp sampling state — to
-the reference per-cycle-scan core, for every sharing scheme (plus the
-pid/mpc controllers) and both scheduler policies:
+All three engine cores share one warp-issue path (the scan selection in
+:mod:`repro.sim.scheduler` under the fused ``SM.step``); they differ in
+the engine loop.  Both performance loops must produce record-for-record
+identical :class:`SimulationResult`s — and identical idle-warp sampling
+state — to the reference loop that steps every SM every cycle, for every
+sharing scheme (plus the pid/mpc controllers) and both scheduler policies:
 
-* the **event** core (per-SM sleep skipping in the engine plus two-tier
-  warp wake queues in the schedulers), and
+* the **event** core (per-SM sleep skipping in the engine: SMs whose
+  schedulers all sleep are not stepped), and
 * the **batch** core (windowed struct-of-arrays advancement in
   :mod:`repro.sim.batch`, dropping to the event core's scalar path on
   control-flow edges).
+
+Because the issue path is shared, a bug in it shows up identically on all
+three cores; ``tests/test_golden_digests.py`` pins the output itself.
 
 The batch-specific classes at the bottom force the scalar fallback *mid
 run* — preemption-driven TB moves and quota exhaustion between vectorised

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import MemoryConfig
 from repro.kernels.spec import KernelSpec, MemoryPattern
 from repro.sim.kernel_runtime import KernelRuntime
 
@@ -14,7 +15,7 @@ def make_runtime(kernel_idx=0, footprint=4 * 1024 * 1024, reuse=0.2,
                              coalesced_fraction=coalesced,
                              uncoalesced_degree=degree,
                              reuse_fraction=reuse))
-    return KernelRuntime(kernel_idx, spec, line_size=128)
+    return KernelRuntime(kernel_idx, spec, MemoryConfig(line_size=128))
 
 
 class TestThresholds:
@@ -75,3 +76,42 @@ class TestStartCursors:
         assert seed == runtime.warp_seed(3, 2)
         assert seed != 0
         assert seed % 2 == 1  # odd-forced so the LCG cannot collapse
+
+
+class TestIssueTable:
+    @staticmethod
+    def _divergent(name):
+        from repro.kernels.spec import InstructionMix
+        return KernelRuntime(0, KernelSpec(
+            name=name, divergence=0.4, ilp=0.5, body_length=40,
+            mix=InstructionMix(alu=0.5, sfu=0.1, ldg=0.2, stg=0.1, lds=0.1,
+                               barrier_per_iteration=True)), MemoryConfig())
+
+    def test_entries_follow_the_pattern(self):
+        runtime = self._divergent("table-a")
+        latency = MemoryConfig().latency
+        fixed = {0: (latency.alu, 1), 1: (latency.sfu, 4),
+                 4: (latency.shared_mem, 1)}
+        pattern = runtime.program.pattern
+        assert len(runtime.ops) == len(pattern)
+        for (kind, delay, lanes), inst in zip(runtime.ops, pattern):
+            assert lanes == inst.active_lanes
+            if inst.opcode in fixed:
+                dependent, independent = fixed[inst.opcode]
+                assert kind == 0
+                assert delay == (dependent if inst.dependent else independent)
+            else:
+                assert (kind, delay) == (int(inst.opcode), 0)
+
+    def test_entries_shared_across_kernels(self):
+        first, second = self._divergent("table-a"), self._divergent("table-b")
+        entries = first.ops + second.ops
+        assert len({id(entry) for entry in entries}) == len(set(entries))
+
+    def test_retired_lanes_prefix(self):
+        runtime = self._divergent("table-a")
+        pattern = runtime.program.pattern
+        total = 0
+        for pc in range(3 * len(pattern) + 1):
+            assert runtime.retired_lanes(pc) == total
+            total += pattern[pc % len(pattern)].active_lanes

@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro.config import ENGINE_CORES
 from repro.kernels.spec import KernelSpec
-from repro.sim.scheduler import (GTOScheduler, LRRScheduler,
-                                 ScanGTOScheduler, ScanLRRScheduler,
-                                 make_scheduler)
+from repro.sim.scheduler import GTOScheduler, LRRScheduler, make_scheduler
 from repro.sim.tb import ThreadBlock
 from repro.sim.warp import Warp, WarpState
 
@@ -168,8 +167,10 @@ class TestFactory:
         assert isinstance(make_scheduler("lrr"), LRRScheduler)
 
     def test_scan_core(self):
-        assert isinstance(make_scheduler("gto", core="scan"), ScanGTOScheduler)
-        assert isinstance(make_scheduler("lrr", core="scan"), ScanLRRScheduler)
+        # One selection implementation serves every engine core.
+        for core in ENGINE_CORES:
+            assert type(make_scheduler("gto", None, core)) is GTOScheduler
+            assert type(make_scheduler("lrr", None, core)) is LRRScheduler
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -190,23 +191,45 @@ class TestBackReference:
         assert warp.sched is None
 
 
+_NEVER = 1 << 62
+
+
 class TestScanEquivalence:
-    """The event-driven two-tier core must reproduce the reference scan
-    core's selection sequence warp for warp under identical stimulus:
-    issue-driven stalls of every length, quota throttling and refresh,
-    warp retirement, and warp removal."""
+    """The scan selection against a brute-force reference under a long
+    seeded stimulus: issue-driven stalls of every length, quota throttling
+    and refresh, warp retirement and warp removal.  The reference picks the
+    greedy ``last`` warp when it is running, ready and quota-eligible, else
+    the oldest such warp (LRR: the smallest rotation offset); when nothing
+    is eligible the scheduler must sleep until exactly the earliest
+    eligible ``ready_at``."""
+
+    @staticmethod
+    def _reference(policy, hosted, last, next_index, cycle, quota):
+        """(pick, wake) computed from scratch over ``hosted`` (dispatch
+        order); ``wake`` is the earliest eligible ``ready_at``."""
+        eligible = [w for w in hosted
+                    if w.state == WarpState.RUNNING and quota[w.kernel_idx]]
+        ready = [w for w in eligible if w.ready_at <= cycle]
+        wake = min((w.ready_at for w in eligible), default=_NEVER)
+        if not ready:
+            return None, wake
+        if policy == "gto":
+            return (last if last in ready else ready[0]), wake
+        start = next_index % len(hosted)
+        return min(ready, key=lambda w: (hosted.index(w) - start)
+                   % len(hosted)), wake
 
     def _lockstep(self, policy, cycles=600, num_warps=12, seed=7):
-        event = make_scheduler(policy, core="event")
-        scan = make_scheduler(policy, core="scan")
-        ev_warps, sc_warps = [], []
+        scheduler = make_scheduler(policy)
+        hosted = []
         for i in range(num_warps):
-            ev, sc = make_warp(kernel_idx=i % 3), make_warp(kernel_idx=i % 3)
-            event.add_warp(ev)
-            scan.add_warp(sc)
-            ev_warps.append(ev)
-            sc_warps.append(sc)
+            warp = make_warp(kernel_idx=i % 3)
+            scheduler.add_warp(warp)
+            hosted.append(warp)
         quota = [True, True, True]
+        last = None
+        next_index = 0
+        picks = sleeps = 0
         state = seed
         for cycle in range(cycles):
             state = (state * 1103515245 + 12345) % (1 << 31)
@@ -214,29 +237,34 @@ class TestScanEquivalence:
                 kernel = state % 3
                 quota[kernel] = not quota[kernel]
                 if quota[kernel]:  # a refresh wakes (SM.set_quota does)
-                    event.wake()
-                    scan.wake()
-            if state % 233 == 0 and len(sc_warps) > 4:  # evict a warp
-                victim = state % len(sc_warps)
-                event.remove_warp(ev_warps.pop(victim))
-                scan.remove_warp(sc_warps.pop(victim))
-            pick_scan = scan.select(cycle, quota)
-            pick_event = event.select(cycle, quota)
-            assert event.sleep_until == scan.sleep_until
-            if pick_scan is None:
-                assert pick_event is None
+                    scheduler.wake()
+            if state % 233 == 0 and len(hosted) > 4:  # evict a warp
+                victim = hosted.pop(state % len(hosted))
+                scheduler.remove_warp(victim)
+                if last is victim:
+                    last = None
+            expected, wake = self._reference(policy, hosted, last,
+                                             next_index, cycle, quota)
+            asleep = cycle < scheduler.sleep_until
+            pick = scheduler.select(cycle, quota)
+            assert pick is expected
+            if pick is None:
+                if not asleep:  # a fresh scan caches the exact wake-up
+                    assert scheduler.sleep_until == wake
+                    sleeps += 1
                 continue
-            index = sc_warps.index(pick_scan)
-            assert pick_event is ev_warps[index]
+            picks += 1
+            last = pick
+            next_index = hosted.index(pick) + 1
             if state % 41 == 0:  # retire
-                pick_event.state = pick_scan.state = WarpState.DONE
+                pick.state = WarpState.DONE
                 continue
-            # Issue: stall both copies identically — pipeline-short,
-            # L2-medium, or DRAM-long.
-            stall = (1, 4, 24, 130, 400)[state % 5]
-            pick_event.ready_at = pick_scan.ready_at = cycle + stall
+            # Issue: stall the warp — pipeline-short, L2-medium or
+            # DRAM-long.
+            pick.ready_at = cycle + (1, 4, 24, 130, 400)[state % 5]
         # The run must actually exercise selection, not sleep through it.
-        assert any(w.state == WarpState.DONE for w in sc_warps)
+        assert any(w.state == WarpState.DONE for w in hosted)
+        assert picks > 50 and sleeps > 10
 
     def test_gto_lockstep(self):
         self._lockstep("gto")
@@ -245,14 +273,68 @@ class TestScanEquivalence:
         self._lockstep("lrr")
 
     def test_sample_ready_matches_scan(self):
-        event = make_scheduler("gto", core="event")
-        scan = make_scheduler("gto", core="scan")
+        scheduler = make_scheduler("gto")
+        warps = []
         for i in range(8):
-            ready_at = (0, 3, 90, 500)[i % 4]
-            event.add_warp(make_warp(kernel_idx=i % 2, ready_at=ready_at))
-            scan.add_warp(make_warp(kernel_idx=i % 2, ready_at=ready_at))
+            warp = make_warp(kernel_idx=i % 2, ready_at=(0, 3, 90, 500)[i % 4])
+            if i == 5:
+                warp.state = WarpState.AT_BARRIER
+            scheduler.add_warp(warp)
+            warps.append(warp)
         for cycle in (0, 5, 100, 600):
-            ev_sum, sc_sum = [0, 0, 0], [0, 0, 0]
-            event.sample_ready(cycle, ev_sum)
-            scan.sample_ready(cycle, sc_sum)
-            assert ev_sum == sc_sum
+            counted = [0, 0, 0]
+            scheduler.sample_ready(cycle, counted)
+            expected = [0, 0, 0]
+            for warp in warps:
+                if warp.state == WarpState.RUNNING and warp.ready_at <= cycle:
+                    expected[warp.kernel_idx] += 1
+            assert counted == expected
+
+    def test_inline_greedy_issue_matches_select(self, monkeypatch):
+        """``SM.step`` issues the greedy GTO warp without calling
+        ``select``; an SM forced through ``select`` on every scheduler must
+        issue the same warps cycle for cycle."""
+        from repro.config import GPUConfig, SMConfig
+        from tests.test_sm import Harness, alu_spec, memory_spec
+
+        calls = {}
+        original = GTOScheduler.select
+
+        def counting_select(self, cycle, quota_ok):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return original(self, cycle, quota_ok)
+
+        monkeypatch.setattr(GTOScheduler, "select", counting_select)
+        config = GPUConfig(num_sms=1, num_mcs=1,
+                           sm=SMConfig(warp_schedulers=2))
+        specs = [alu_spec("greedy-alu", ilp=0.7, iterations=6, body=24,
+                          barrier=True), memory_spec("greedy-mem")]
+        fused, forced = Harness(specs, config), Harness(specs, config)
+        forced.sm._greedy = False
+        for harness in (fused, forced):
+            harness.sm.quota_enabled = True
+            harness.sm.set_quota(0, 3000.0)
+            harness.sm.set_quota(1, 1e9)
+            for tb_id in range(3):
+                harness.sm.dispatch_tb(tb_id % 2, tb_id, 0)
+
+        def snapshot(sm):
+            return [(w.kernel_idx, w.tb.tb_id, w.warp_id_in_tb, w.pc,
+                     w.ready_at, w.state)
+                    for scheduler in sm.schedulers for w in scheduler.warps]
+
+        issued = 0
+        for cycle in range(1, 1500):
+            if cycle == 500:  # refresh: kernel 0 resumes and can finish
+                fused.sm.set_quota(0, 1e9)
+                forced.sm.set_quota(0, 1e9)
+            step = fused.sm.step(cycle)
+            assert forced.sm.step(cycle) == step
+            assert snapshot(fused.sm) == snapshot(forced.sm)
+            issued += step
+        assert fused.exhausted_events == forced.exhausted_events != []
+        assert len(fused.finished_tbs) == len(forced.finished_tbs) > 0
+        fused_calls = sum(calls.get(id(s), 0) for s in fused.sm.schedulers)
+        forced_calls = sum(calls.get(id(s), 0) for s in forced.sm.schedulers)
+        # The fused SM really took the inline greedy path.
+        assert issued > 0 and fused_calls < forced_calls

@@ -35,7 +35,7 @@ class Harness:
         self.config = config or GPUConfig(num_sms=1, num_mcs=1,
                                           sm=SMConfig(warp_schedulers=2))
         self.memory = MemorySubsystem(self.config, len(specs))
-        self.runtimes = [KernelRuntime(i, spec, self.config.memory.line_size)
+        self.runtimes = [KernelRuntime(i, spec, self.config.memory)
                          for i, spec in enumerate(specs)]
         self.stats = [KernelStats() for _ in specs]
         self.exhausted_events = []
