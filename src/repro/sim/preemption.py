@@ -38,7 +38,8 @@ class PreemptionEngine:
         tb.freeze()
         cost = self.config.eviction_cycles(tb.spec.context_bytes)
         if self.config.mode == "reset" and self.config.enabled:
-            self.wasted_thread_insts += _partial_progress(tb)
+            self.wasted_thread_insts += _partial_progress(
+                tb, sm.runtimes[tb.kernel_idx])
         done = cycle + cost
         self._sequence += 1
         heapq.heappush(self._heap, (done, self._sequence, sm, tb))
@@ -66,15 +67,8 @@ class PreemptionEngine:
             yield sm, tb
 
 
-def _partial_progress(tb: ThreadBlock) -> int:
-    """Estimate the thread instructions a dropped TB had retired.
-
-    Warp program counters times the program's mean active lanes: exact up
-    to divergence placement, with no per-issue accounting cost.
-    """
-    total_pc = sum(warp.pc for warp in tb.warps)
-    if total_pc == 0:
-        return 0
-    # Mean lanes per slot comes from the spec's divergence-aware pattern;
-    # approximate from warps' shared program via the TB's spec.
-    return int(total_pc * 32 * (1.0 - 0.25 * tb.spec.divergence))
+def _partial_progress(tb: ThreadBlock, runtime) -> int:
+    """Thread instructions a dropped TB had retired: exact, from each warp's
+    instruction counter and the kernel's per-slot lanes (``runtime`` is the
+    kernel's :class:`~repro.sim.kernel_runtime.KernelRuntime`)."""
+    return sum(runtime.retired_lanes(warp.pc) for warp in tb.warps)

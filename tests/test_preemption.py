@@ -68,3 +68,39 @@ class TestEventOrdering:
         engine.begin_eviction("sm", make_tb(), cycle=5)
         assert engine.evictions == 2
         assert engine.stall_cycles > 0
+
+
+class TestResetWastedWork:
+    """Context-reset eviction charges exactly the thread instructions the
+    dropped TB's warps had retired, replayed slot by slot."""
+
+    def test_wasted_work_equals_replayed_lanes(self):
+        from repro.config import GPUConfig, SMConfig
+        from repro.kernels.spec import InstructionMix, MemoryPattern
+        from repro.sim import GPUSimulator, LaunchedKernel
+
+        spec = KernelSpec(
+            name="reset-divergent", threads_per_tb=128, regs_per_thread=16,
+            mix=InstructionMix(alu=0.7, sfu=0.1, ldg=0.1, stg=0.0, lds=0.1,
+                               barrier_per_iteration=True),
+            memory=MemoryPattern(footprint_bytes=1 << 20),
+            ilp=0.5, divergence=0.5, body_length=24, iterations_per_tb=50)
+        gpu = GPUConfig(num_sms=1, num_mcs=1, epoch_length=500,
+                        sm=SMConfig(warp_schedulers=2),
+                        preemption=PreemptionConfig(mode="reset"))
+        sim = GPUSimulator(gpu, [LaunchedKernel(spec)])
+        sim.run(2000)
+        sm = sim.sms[0]
+        victim = sm.pick_eviction_victim(0)
+        pattern = sim.runtimes[0].program.pattern
+        replayed = [pattern[i % len(pattern)].active_lanes
+                    for warp in victim.warps for i in range(warp.pc)]
+        # Non-vacuous: the warps are mid-way through their second loop
+        # body and replayed diverged slots, where a mean-lanes estimate
+        # goes wrong.
+        assert all(len(pattern) < warp.pc < 2 * len(pattern)
+                   for warp in victim.warps)
+        assert any(lanes < 32 for lanes in replayed)
+        sim.preemption.begin_eviction(sm, victim, sim.cycle)
+        assert sim.preemption.wasted_thread_insts == sum(replayed)
+        assert sim.result().extra["wasted_thread_insts"] == sum(replayed)
