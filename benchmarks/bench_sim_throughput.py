@@ -4,9 +4,12 @@ Measures, on the current machine:
 
 1. Engine hot-path speed: simulated cycles/second for the canonical
    workload shapes, run under all three simulation cores — the reference
-   per-cycle-scan core (``engine_core="scan"``), the event-driven core
+   loop stepping every SM every cycle (``engine_core="scan"``), the
+   event-driven loop skipping SMs whose schedulers all sleep
    (``"event"``, the default) and the windowed struct-of-arrays batch
-   core (``"batch"``) — with per-shape speedup ratios.  The *membound
+   core (``"batch"``) — with per-shape speedup ratios.  All three share
+   one warp-selection and issue path (``SM.step``), so the ratios measure
+   the engine loops alone.  The *membound
    stream* shape is the event core's sleep-skipping showcase: a
    bandwidth-bound kernel on many single-scheduler SMs under deep DRAM
    latency, so most SMs spend most cycles stalled and the event core
@@ -263,8 +266,9 @@ def format_report(engine_rows, hotspot_rows, telemetry_rows, sweep_rows,
                  f"cores {os.cpu_count()}  workers {workers}  "
                  f"code salt {code_salt()}")
     lines.append("")
-    lines.append(f"engine hot path ({cycles} cycles; scan = reference, "
-                 "event = PR 2, batch = struct-of-arrays windows)")
+    lines.append(f"engine hot path ({cycles} cycles; all cores share one "
+                 "issue path; scan = every SM every cycle, event = per-SM "
+                 "sleep skipping, batch = struct-of-arrays windows)")
     lines.append(f"{'workload':<28}{'cyc/s scan':>12}{'cyc/s event':>13}"
                  f"{'cyc/s batch':>13}{'ev/scan':>9}{'ba/scan':>9}")
     for row in engine_rows:
