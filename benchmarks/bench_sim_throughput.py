@@ -3,20 +3,18 @@
 Measures, on the current machine:
 
 1. Engine hot-path speed: simulated cycles/second for the canonical
-   workload shapes, run under all three simulation cores — the reference
-   loop stepping every SM every cycle (``engine_core="scan"``), the
+   workload shapes, run under both simulation cores — the reference loop
+   stepping every SM every cycle (``engine_core="scan"``) and the
    event-driven loop skipping SMs whose schedulers all sleep
-   (``"event"``, the default) and the windowed struct-of-arrays batch
-   core (``"batch"``) — with per-shape speedup ratios.  All three share
-   one warp-selection and issue path (``SM.step``), so the ratios measure
-   the engine loops alone.  The *membound
-   stream* shape is the event core's sleep-skipping showcase: a
-   bandwidth-bound kernel on many single-scheduler SMs under deep DRAM
-   latency, so most SMs spend most cycles stalled and the event core
-   skips them with one comparison each.  The *compute alu-dense* shape is
-   the batch core's showcase: a memory-free high-ILP kernel whose only
-   window edges are the idle-warp sample grid, so the batch core advances
-   whole SMs hundreds of cycles at a time.
+   (``"event"``, the default) — with the per-shape speedup ratio.  Both
+   share one warp-selection and issue path (``SM.step``), so the ratio
+   measures the engine loops alone.  The *membound stream* shape is the
+   event core's sleep-skipping showcase: a bandwidth-bound kernel on many
+   single-scheduler SMs under deep DRAM latency, so most SMs spend most
+   cycles stalled and the event core skips them with one comparison
+   each.  The *compute alu-dense* shape is the opposite extreme: a
+   memory-free high-ILP kernel that keeps every SM issuing, so there is
+   nothing to skip.
 2. A per-function cProfile hotspot table for the event core on the
    showcase shape, so regressions in the hot path are visible as moved
    rows rather than just a slower total.
@@ -59,8 +57,6 @@ import tempfile
 import time
 from dataclasses import replace
 
-import repro.sim.batch  # noqa: F401  — warm numpy outside the timed regions
-
 from repro.config import ENGINE_CORES, FAST_GPU, KB, LatencyConfig, \
     MemoryConfig, SMConfig
 from repro.harness.cache import (CaseCache, code_salt, experiment_id_for,
@@ -94,11 +90,10 @@ MEMBOUND_GPU = FAST_GPU.scaled(
         latency=LatencyConfig(dram=2000, dram_row_hit=1200, l2_hit=500)))
 
 
-# The batch-core showcase: a memory-free, barrier-free, high-ILP ALU kernel
-# (greedy runs of back-to-back single-cycle instructions are long, so the
-# bulk-apply path dominates) on the fast machine with a sparse idle-warp
-# sample grid — the only window edges left are the 500-cycle grid points,
-# so each probe opens a full-interval window.
+# An issue-bound shape: a memory-free, barrier-free, high-ILP ALU kernel
+# (long greedy runs of back-to-back single-cycle instructions) on the fast
+# machine with a sparse idle-warp sample grid, so every SM issues almost
+# every cycle and sleep skipping has nothing to skip.
 COMPUTE_GPU = FAST_GPU.scaled(epoch_length=10_000, idle_warp_samples=20)
 
 
@@ -142,7 +137,7 @@ def _time_run(gpu, launches, policy_name, cycles, repeats=2,
 
 
 def engine_throughput(cycles: int, repeats: int = 3) -> list:
-    """Per-shape timings for all three cores, plus speedup ratios.
+    """Per-shape timings for both cores, plus the speedup ratio.
 
     Returns one dict per shape — the same structure the JSON report
     serialises — with ``seconds`` and ``cycles_per_second`` keyed by core
@@ -163,8 +158,6 @@ def engine_throughput(cycles: int, repeats: int = 3) -> list:
                                   for core, elapsed in seconds.items()},
             "speedup": {
                 "event_vs_scan": seconds["scan"] / seconds["event"],
-                "batch_vs_scan": seconds["scan"] / seconds["batch"],
-                "batch_vs_event": seconds["event"] / seconds["batch"],
             },
         })
     return rows
@@ -266,18 +259,16 @@ def format_report(engine_rows, hotspot_rows, telemetry_rows, sweep_rows,
                  f"cores {os.cpu_count()}  workers {workers}  "
                  f"code salt {code_salt()}")
     lines.append("")
-    lines.append(f"engine hot path ({cycles} cycles; all cores share one "
+    lines.append(f"engine hot path ({cycles} cycles; both cores share one "
                  "issue path; scan = every SM every cycle, event = per-SM "
-                 "sleep skipping, batch = struct-of-arrays windows)")
+                 "sleep skipping)")
     lines.append(f"{'workload':<28}{'cyc/s scan':>12}{'cyc/s event':>13}"
-                 f"{'cyc/s batch':>13}{'ev/scan':>9}{'ba/scan':>9}")
+                 f"{'ev/scan':>9}")
     for row in engine_rows:
         rate = row["cycles_per_second"]
-        speedup = row["speedup"]
         lines.append(f"{row['label']:<28}{rate['scan']:>12,.0f}"
-                     f"{rate['event']:>13,.0f}{rate['batch']:>13,.0f}"
-                     f"{speedup['event_vs_scan']:>8.2f}x"
-                     f"{speedup['batch_vs_scan']:>8.2f}x")
+                     f"{rate['event']:>13,.0f}"
+                     f"{row['speedup']['event_vs_scan']:>8.2f}x")
     lines.append("")
     lines.append("event-core hotspots (membound stream, by internal time)")
     lines.append(f"{'function':<44}{'calls':>9}{'tottime':>9}{'cumtime':>9}")

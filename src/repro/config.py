@@ -178,17 +178,14 @@ class ControllerConfig:
             raise ValueError("mpc_nonqos_floor must be in [0, 1)")
 
 
-#: The one registry of simulation-core variants, shared by
-#: :class:`GPUConfig` validation and the CLI ``--engine-core`` choices.
-#: All three share one warp-issue path (``SM.step`` over the scan selection
-#: of :mod:`repro.sim.scheduler`) and differ in the engine loop.
-#: ``"event"``: per-SM sleep skipping (SMs whose schedulers all sleep are not
-#: stepped).  ``"scan"``: reference loop stepping every SM every cycle, kept
-#: for differential testing.  ``"batch"``: windowed struct-of-arrays core
-#: (:mod:`repro.sim.batch`) that advances whole SMs in bulk between
-#: control-flow edges.  All three produce record-for-record identical
-#: results.
-ENGINE_CORES = ("event", "scan", "batch")
+#: The simulation-core variants :class:`GPUConfig` accepts.  Both share one
+#: warp-issue path (``SM.step`` over the scan selection of
+#: :mod:`repro.sim.scheduler`) and differ only in the engine loop.
+#: ``"event"`` (the default): per-SM sleep skipping (SMs whose schedulers
+#: all sleep are not stepped).  ``"scan"``: the reference loop stepping
+#: every SM every cycle, kept so the differential tests can hold ``"event"``
+#: to it record for record.
+ENGINE_CORES = ("event", "scan")
 
 
 @dataclass(frozen=True)

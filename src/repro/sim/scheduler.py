@@ -15,10 +15,9 @@ exhausted."
 
 Selection is one O(warps) scan in warp-list order, which is dispatch order:
 the first running, ready, quota-eligible warp is the oldest (GTO), or the
-one closest after the rotation index (LRR).  All three engine cores
+one closest after the rotation index (LRR).  Both engine cores
 (``GPUConfig.engine_core``) share these classes; the cores differ only in
-which SMs the engine steps (:mod:`repro.sim.engine`) and in the batch
-core's vectorised windows (:mod:`repro.sim.batch`).  ``SM.step`` issues the
+which SMs the engine steps (:mod:`repro.sim.engine`).  ``SM.step`` issues the
 greedy GTO warp inline when it is still running, ready and quota-eligible —
 exactly the first branch of :meth:`GTOScheduler.select` — and calls
 ``select`` only otherwise.

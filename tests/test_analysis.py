@@ -597,53 +597,44 @@ class TestSaltCoverage:
                                rule_ids=["SALT001", "SALT002"])
         assert result.findings == []
 
-    def test_lazily_imported_batch_module_is_flagged(self, tmp_path):
-        # The engine imports repro.sim.batch inside a function (so the
-        # scan/event cores never pay the numpy import); SALT001 walks
-        # function-level imports too, so the batch module cannot silently
-        # drop out of the salted closure if the `sim` entry is narrowed.
+    def test_lazily_imported_module_is_flagged(self, tmp_path):
+        # An engine module imported inside a function still joins the
+        # closure: SALT001 walks function-level imports too, so a lazily
+        # imported module cannot silently drop out of the salted closure
+        # if the `sim` entry is narrowed.
         root = mini_repro(
             tmp_path,
             salted=("config.py", "sim/engine.py", "harness/runner.py",
                     "harness/cache.py"),
             engine_body=(
                 "import repro.config\n"
-                "def _run_batch():\n"
-                "    from repro.sim.batch import BatchState\n"
-                "    return BatchState\n"),
-            extra={"src/repro/sim/batch.py":
-                   "class BatchState:\n    pass\n"})
+                "def _run_lazy():\n"
+                "    from repro.sim.lazy import LazyState\n"
+                "    return LazyState\n"),
+            extra={"src/repro/sim/lazy.py":
+                   "class LazyState:\n    pass\n"})
         result = analyze_paths([root / "src"], root=root,
                                rule_ids=["SALT001"])
         assert rules_of(result.findings) == ["SALT001"]
-        assert "repro.sim.batch" in result.findings[0].message
+        assert "repro.sim.lazy" in result.findings[0].message
 
-    def test_lazily_imported_batch_module_covered_by_sim_dir(self, tmp_path):
-        # The shipped tree relies on the `sim` directory entry to cover
-        # the batch module; the same lazy import is clean under it.
+    def test_lazily_imported_module_covered_by_sim_dir(self, tmp_path):
+        # A `sim` directory entry covers every module under it; the same
+        # lazy import is clean under it.
         root = mini_repro(
             tmp_path,
             salted=("config.py", "sim", "harness/runner.py",
                     "harness/cache.py"),
             engine_body=(
                 "import repro.config\n"
-                "def _run_batch():\n"
-                "    from repro.sim.batch import BatchState\n"
-                "    return BatchState\n"),
-            extra={"src/repro/sim/batch.py":
-                   "class BatchState:\n    pass\n"})
+                "def _run_lazy():\n"
+                "    from repro.sim.lazy import LazyState\n"
+                "    return LazyState\n"),
+            extra={"src/repro/sim/lazy.py":
+                   "class LazyState:\n    pass\n"})
         result = analyze_paths([root / "src"], root=root,
                                rule_ids=["SALT001"])
         assert result.findings == []
-
-    def test_shipped_salt_covers_the_batch_core_module(self):
-        # Editing the batch core must invalidate cached case records just
-        # like editing the engine: its results are (by contract) identical
-        # to the event core's, but a bug fix there changes what a cache
-        # entry produced before the fix means.
-        from repro.harness.cache import _SALTED, salted_paths
-        assert "sim" in _SALTED
-        assert "sim/batch.py" in salted_paths()
 
     def test_shipped_salt_covers_the_controllers_package(self):
         # The runner imports repro.controllers (PID/MPC quota control), so

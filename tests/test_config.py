@@ -96,6 +96,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             GPUConfig(epoch_length=0)
 
+    def test_rejects_retired_batch_core(self):
+        with pytest.raises(ValueError, match="unknown engine core 'batch'"):
+            GPUConfig(engine_core="batch")
+
     def test_scaled_returns_modified_copy(self):
         modified = PAPER_GPU.scaled(num_sms=8)
         assert modified.num_sms == 8
@@ -173,7 +177,7 @@ class TestConfigRoundTrip:
 
         from repro.config import gpu_config_from_dict
 
-        gpu = FAST_GPU.scaled(num_sms=2, engine_core="batch")
+        gpu = FAST_GPU.scaled(num_sms=2, engine_core="scan")
         assert gpu_config_from_dict(dataclasses.asdict(gpu)) == gpu
 
     def test_unknown_keys_fail_loudly(self):

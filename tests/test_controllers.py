@@ -284,12 +284,8 @@ class TestGoldenDifferential:
     """The scheme-behind-controller adaptation must be a refactor, not a
     behaviour change: every pre-seam record replays bit-identically."""
 
-    @pytest.mark.parametrize("core", ["event", "scan", "batch"])
+    @pytest.mark.parametrize("core", ["event", "scan"])
     def test_schemes_bit_identical_to_pre_seam_records(self, core):
-        # The golden file predates the batch core; since the batch core is
-        # defined as record-for-record identical to the event core, its
-        # records replay against the event core's golden entries.
-        golden_core = "event" if core == "batch" else core
         runner = CaseRunner(FAST_GPU.scaled(engine_core=core),
                             GOLDEN["cycles"])
         mismatches = []
@@ -300,7 +296,7 @@ class TestGoldenDifferential:
                     tuple(case["goals"]), scheme)
                 current = json.loads(
                     json.dumps(dataclasses.asdict(record)))
-                key = f"{golden_core}/{scheme}/{label}"
+                key = f"{core}/{scheme}/{label}"
                 if current != GOLDEN["records"][key]:
                     mismatches.append(f"{core}/{scheme}/{label}")
         assert mismatches == []

@@ -180,6 +180,10 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_scheduler("gto", core="magic")
 
+    def test_retired_batch_core(self):
+        with pytest.raises(ValueError):
+            make_scheduler("gto", None, "batch")
+
 
 class TestBackReference:
     def test_add_sets_owner_and_remove_clears_it(self):
