@@ -239,6 +239,9 @@ class GPUSimulator:
         """
         self.kernel_active[kernel_idx] = False
         self.kernel_finish_cycle[kernel_idx] = cycle
+        # No warp of the kernel is left to issue: free its per-pc table, or
+        # a serving run would hold one for every request it ever launched.
+        self.runtimes[kernel_idx].pc_table = ()
         for targets in self.tb_targets:
             targets[kernel_idx] = 0
         self.policy.on_kernel_retired(self.ctx, kernel_idx, cycle)

@@ -2,7 +2,8 @@
 
 A :class:`KernelRuntime` is created once per launched kernel and shared by
 all of its warps: the expanded warp program, its scalar issue table (one
-``(kind, delay, lanes)`` entry per pattern slot, read by ``SM.step``), the
+``(kind, delay, lanes)`` entry per pattern slot) and that table unrolled to
+one entry per instruction counter (``pc_table``, read by ``SM.step``), the
 address-generation thresholds as raw 32-bit integers (so the warp LCG can be
 compared without float math), and the kernel's private slice of the
 line-address space.
@@ -60,13 +61,31 @@ def issue_table(pattern, latency: LatencyConfig) -> tuple:
     return tuple(table)
 
 
+def pc_table(ops: tuple, length: int) -> tuple:
+    """The issue table unrolled over a ``length``-instruction program:
+    entry ``pc`` is ``ops[pc % len(ops)]``, except that a fixed-latency
+    last instruction gets kind 1, so the issue that retires a warp takes
+    ``SM._issue`` and the inline path needs no end-of-program check.
+
+    The table is per launch, not cached by content: a served request's
+    kernel is renamed ``<kernel>@<request id>`` and the pattern generator
+    is seeded by the name, so no two launches of a serving run have equal
+    tables.  The engine drops a finite kernel's table when it retires."""
+    table = [ops[pc % len(ops)] for pc in range(length)]
+    kind, delay, lanes = table[-1]
+    if kind == 0:
+        table[-1] = _entry(1, delay, lanes)
+    return tuple(table)
+
+
 class KernelRuntime:
-    """Immutable per-launch constants shared by a kernel's warps."""
+    """Per-launch constants shared by a kernel's warps (``pc_table`` is
+    emptied once a finite kernel has retired and has no warps left)."""
 
     __slots__ = (
         "kernel_idx", "spec", "program", "base_line", "footprint_lines",
         "reuse_threshold", "coalesce_threshold", "uncoalesced_degree",
-        "program_length", "warps_per_tb", "ops", "body_lanes",
+        "program_length", "warps_per_tb", "ops", "pc_table", "body_lanes",
     )
 
     def __init__(self, kernel_idx: int, spec: KernelSpec,
@@ -77,6 +96,7 @@ class KernelRuntime:
         self.program_length = self.program.length
         self.warps_per_tb = spec.warps_per_tb
         self.ops = issue_table(self.program.pattern, memory.latency)
+        self.pc_table = pc_table(self.ops, self.program_length)
         self.body_lanes = sum(entry[2] for entry in self.ops)
         self.base_line = kernel_idx * _BASE_STRIDE_LINES
         self.footprint_lines = max(

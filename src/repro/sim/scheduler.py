@@ -14,18 +14,20 @@ lifetime of kernels, except that kernels are throttled once their quotas are
 exhausted."
 
 Selection is one O(warps) scan in warp-list order, which is dispatch order:
-the first running, ready, quota-eligible warp is the oldest (GTO), or the
-one closest after the rotation index (LRR).  Both engine cores
-(``GPUConfig.engine_core``) share these classes; the cores differ only in
-which SMs the engine steps (:mod:`repro.sim.engine`).  ``SM.step`` issues the
-greedy GTO warp inline when it is still running, ready and quota-eligible —
-exactly the first branch of :meth:`GTOScheduler.select` — and calls
-``select`` only otherwise.
+the first ready, quota-eligible warp is the oldest (GTO), or the one
+closest after the rotation index (LRR).  A warp that is not running (parked
+at a barrier, frozen, done) holds ``ready_at = NEVER``
+(:meth:`Warp.set_state`), so readiness alone implies running and the scan
+never reads ``state``.  Both engine cores (``GPUConfig.engine_core``) share
+these classes; the cores differ only in which SMs the engine steps
+(:mod:`repro.sim.engine`).  ``SM.step`` issues the greedy GTO warp inline
+when it is still ready and quota-eligible — exactly the first branch of
+:meth:`GTOScheduler.select` — and calls ``select`` only otherwise.
 
 Schedulers keep a ``sleep_until`` cycle: when selection finds nothing ready
 the earliest wake-up among eligible warps is cached so stalled schedulers
 cost one comparison per cycle.  Any event that can create readiness out of
-band — TB dispatch, barrier release, quota refresh, unfreeze — must call
+band — TB dispatch, barrier release, quota refresh — must call
 ``wake()`` (or reset ``sleep_until`` through the SM).
 
 Every write to ``sleep_until`` made here invokes the optional ``notify``
@@ -39,9 +41,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import ENGINE_CORES
-from repro.sim.warp import Warp
-
-_NEVER = 1 << 62
+from repro.sim.warp import NEVER, Warp
 
 
 class GTOScheduler:
@@ -95,39 +95,29 @@ class GTOScheduler:
         if cycle < self.sleep_until:
             return None
         last = self.last
-        if (last is not None and last.state == 0 and last.ready_at <= cycle
+        if (last is not None and last.ready_at <= cycle
                 and quota_ok[last.kernel_idx]):
             return last
-        earliest = _NEVER
+        earliest = NEVER
         for warp in self.warps:
-            # readiness first: most scanned warps are stalled behind the
-            # current earliest wake-up and cost one attribute read.
+            # Most scanned warps are stalled behind the current earliest
+            # wake-up (parked ones at NEVER) and cost one attribute read.
             ready_at = warp.ready_at
             if ready_at <= cycle:
-                if warp.state == 0 and quota_ok[warp.kernel_idx]:
+                if quota_ok[warp.kernel_idx]:
                     self.last = warp
                     return warp
-            elif (ready_at < earliest and warp.state == 0
-                    and quota_ok[warp.kernel_idx]):
+            elif ready_at < earliest and quota_ok[warp.kernel_idx]:
                 earliest = ready_at
         self._sleep(earliest)
         return None
 
     # ------------------------------------------------------------ inspection
 
-    def ready_count(self, cycle: int, quota_ok) -> int:
-        """Warps that could issue this cycle (for idle-warp sampling)."""
-        count = 0
-        for warp in self.warps:
-            if (warp.ready_at <= cycle and warp.state == 0
-                    and quota_ok[warp.kernel_idx]):
-                count += 1
-        return count
-
     def sample_ready(self, cycle: int, idle_sum: List[int]) -> None:
         """Accumulate per-kernel ready-warp counts, quota-blind (Sec 3.6)."""
         for warp in self.warps:
-            if warp.ready_at <= cycle and warp.state == 0:
+            if warp.ready_at <= cycle:
                 idle_sum[warp.kernel_idx] += 1
 
 
@@ -146,20 +136,19 @@ class LRRScheduler(GTOScheduler):
         warps = self.warps
         count = len(warps)
         if count == 0:
-            self._sleep(_NEVER)
+            self._sleep(NEVER)
             return None
-        earliest = _NEVER
+        earliest = NEVER
         start = self._next_index % count
         for offset in range(count):
             warp = warps[(start + offset) % count]
             ready_at = warp.ready_at
             if ready_at <= cycle:
-                if warp.state == 0 and quota_ok[warp.kernel_idx]:
+                if quota_ok[warp.kernel_idx]:
                     self._next_index = (start + offset + 1) % count
                     self.last = warp
                     return warp
-            elif (ready_at < earliest and warp.state == 0
-                    and quota_ok[warp.kernel_idx]):
+            elif ready_at < earliest and quota_ok[warp.kernel_idx]:
                 earliest = ready_at
         self._sleep(earliest)
         return None

@@ -65,8 +65,6 @@ class SM:
         # Idle-warp sampling accumulators (Section 3.6), read by policies.
         self.idle_sum = [0] * num_kernels
         self.idle_samples = 0
-        # Per-epoch retired-instruction counters local to this SM.
-        self.retired_local = [0] * num_kernels
         self.issued_total = 0
         self._on_quota_exhausted = on_quota_exhausted
         self._on_tb_finished = on_tb_finished
@@ -80,42 +78,39 @@ class SM:
 
         The fused issue loop: a sleeping scheduler costs one comparison;
         under GTO the greedy ``last`` warp issues without a ``select`` call
-        while it is running, ready and quota-eligible (exactly ``select``'s
-        first branch); and a fixed-latency instruction that does not retire
-        its warp issues inline from the kernel's issue table.  Memory ops,
-        barriers and warp retirement go through :meth:`_issue`.
+        while it is ready and quota-eligible (exactly ``select``'s first
+        branch; a warp that is not running holds ``ready_at = NEVER``, so
+        readiness implies running); and a fixed-latency instruction that
+        does not retire its warp (kind 0 in the kernel's ``pc_table``)
+        issues inline.  Memory ops, barriers and warp retirement go through
+        :meth:`_issue`.
         """
         issued = 0
         quota_ok = self.quota_ok
         greedy = self._greedy
         runtimes = self.runtimes
+        kernel_stats = self.kernel_stats
+        quota_enabled = self.quota_enabled
         for scheduler in self.schedulers:
             if cycle < scheduler.sleep_until:
                 continue
             warp = scheduler.last
-            if (not greedy or warp is None or warp.state != 0
-                    or warp.ready_at > cycle
+            if (not greedy or warp is None or warp.ready_at > cycle
                     or not quota_ok[warp.kernel_idx]):
                 warp = scheduler.select(cycle, quota_ok)
                 if warp is None:
                     continue
             issued += 1
             kernel_idx = warp.kernel_idx
-            runtime = runtimes[kernel_idx]
-            ops = runtime.ops
             pc = warp.pc
-            kind, delay, lanes = ops[pc % len(ops)]
-            pc += 1
-            if kind or pc >= runtime.program_length:
+            kind, delay, lanes = runtimes[kernel_idx].pc_table[pc]
+            if kind:
                 self._issue(warp, cycle)
                 continue
             warp.ready_at = cycle + delay
-            warp.pc = pc
-            stats = self.kernel_stats[kernel_idx]
-            stats.retired_thread_insts += lanes
-            stats.issued_warp_insts += 1
-            self.retired_local[kernel_idx] += lanes
-            if self.quota_enabled:
+            warp.pc = pc + 1
+            kernel_stats[kernel_idx].retired_thread_insts += lanes
+            if quota_enabled:
                 remaining = self.quota_counters[kernel_idx] - lanes
                 self.quota_counters[kernel_idx] = remaining
                 if remaining <= 0 and quota_ok[kernel_idx]:
@@ -129,11 +124,10 @@ class SM:
         """Issue one instruction of any kind (the slow path of ``step``)."""
         kernel_idx = warp.kernel_idx
         runtime = self.runtimes[kernel_idx]
-        ops = runtime.ops
-        kind, delay, lanes = ops[warp.pc % len(ops)]
+        kind, delay, lanes = runtime.pc_table[warp.pc]
         barrier_released = False
 
-        if kind == 0:  # ALU / SFU / LDS
+        if kind < 2:  # ALU / SFU / LDS (kind 1: the program's last)
             warp.ready_at = cycle + delay
         elif kind == 2:  # LDG
             lines = warp.global_lines(runtime)
@@ -146,10 +140,7 @@ class SM:
         else:  # BAR
             barrier_released = warp.tb.arrive_barrier(warp, cycle)
 
-        stats = self.kernel_stats[kernel_idx]
-        stats.retired_thread_insts += lanes
-        stats.issued_warp_insts += 1
-        self.retired_local[kernel_idx] += lanes
+        self.kernel_stats[kernel_idx].retired_thread_insts += lanes
 
         warp.pc += 1
         if warp.pc >= runtime.program_length and warp.state != WarpState.AT_BARRIER:
@@ -177,7 +168,7 @@ class SM:
         self._on_quota_exhausted(self, kernel_idx, cycle)
 
     def _retire_warp(self, warp: Warp, cycle: int) -> None:
-        warp.state = WarpState.DONE
+        warp.set_state(WarpState.DONE)
         tb = warp.tb
         tb.done_warps += 1
         if tb.finished and not tb.evicting:
@@ -243,7 +234,6 @@ class SM:
         self.quota_ok.append(True)
         self.quota_counters.append(0.0)
         self.idle_sum.append(0)
-        self.retired_local.append(0)
 
     def dispatch_tb(self, kernel_idx: int, tb_id: int, cycle: int) -> ThreadBlock:
         """Admit one TB of the kernel and spread its warps over schedulers."""
@@ -314,7 +304,6 @@ class SM:
     def reset_epoch_sampling(self) -> None:
         for kernel_idx in range(len(self.idle_sum)):
             self.idle_sum[kernel_idx] = 0
-            self.retired_local[kernel_idx] = 0
         self.idle_samples = 0
 
     def mean_idle_warps(self, kernel_idx: int) -> float:

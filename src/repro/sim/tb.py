@@ -97,15 +97,14 @@ class ThreadBlock:
         All warps of a kernel run the same program length, so DONE warps can
         never be stragglers: the barrier waits for every *live* warp.
         """
-        warp.state = WarpState.AT_BARRIER
+        warp.set_state(WarpState.AT_BARRIER)
         self.barrier_arrived += 1
         if self.barrier_arrived < self.live_warps:
             return False
         self.barrier_arrived = 0
         for peer in self.warps:
             if peer.state == WarpState.AT_BARRIER:
-                peer.state = WarpState.RUNNING
-                peer.ready_at = cycle + 1
+                peer.set_state(WarpState.RUNNING, cycle + 1)
         return True
 
     def freeze(self) -> None:
@@ -113,7 +112,7 @@ class ThreadBlock:
         self.evicting = True
         for warp in self.warps:
             if warp.state != WarpState.DONE:
-                warp.state = WarpState.FROZEN
+                warp.set_state(WarpState.FROZEN)
 
     def __repr__(self) -> str:
         return (f"ThreadBlock(id={self.tb_id}, kernel={self.kernel_idx}, "

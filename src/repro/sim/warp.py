@@ -21,6 +21,12 @@ class WarpState:
     NAMES = {0: "RUNNING", 1: "AT_BARRIER", 2: "FROZEN", 3: "DONE"}
 
 
+#: ``ready_at`` of every warp that is not RUNNING (parked at a barrier,
+#: frozen for eviction, or done): later than any cycle, so
+#: ``ready_at <= cycle`` alone implies RUNNING and the issue path never
+#: reads ``state``.
+NEVER = 1 << 62
+
 _LCG_MUL = 1664525
 _LCG_ADD = 1013904223
 _LCG_MASK = 0xFFFFFFFF
@@ -53,6 +59,13 @@ class Warp:
         self.last_line = start_cursor
         self.sched = None
         self.pos = -1
+
+    def set_state(self, state: int, ready_at: int = NEVER) -> None:
+        """The one state transition.  A warp leaving RUNNING parks at
+        ``ready_at = NEVER``; a warp resuming RUNNING passes the cycle it
+        may issue at."""
+        self.state = state
+        self.ready_at = ready_at if state == WarpState.RUNNING else NEVER
 
     def next_random(self) -> int:
         """Advance the per-warp LCG; returns a 32-bit pseudo-random int."""

@@ -17,7 +17,9 @@ digests pin the output itself:
   (``cap:1``), so admission rejections are covered too.
 
 A co-run case digests ``record_to_dict(record)``; a served case digests
-``ServeCaseOutcome.to_value()``; both as sorted-key JSON.  A change meant
+``ServeCaseOutcome.to_value()``; both as sorted-key JSON.  The digests are
+also recomputed in fresh interpreters under two ``PYTHONHASHSEED`` values,
+so results cannot depend on string hashing or set order.  A change meant
 to alter simulated results regenerates the file with::
 
     PYTHONPATH=src python -m tests.test_golden_digests
@@ -27,7 +29,10 @@ and says so; any other change must leave it byte-identical.
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -37,8 +42,8 @@ from repro.harness.cache import record_to_dict
 from repro.harness.runner import CaseRunner
 from repro.serve.runner import ServeRunner, ServeSpec
 
-GOLDEN_PATH = (pathlib.Path(__file__).parent / "data"
-               / "golden_digests.json")
+REPO = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN_PATH = REPO / "tests" / "data" / "golden_digests.json"
 
 SCHEMES = ("smk", "naive", "history", "elastic", "rollover",
            "rollover-time", "rollover-nostatic", "spart", "pid", "mpc")
@@ -142,6 +147,31 @@ class TestGoldenDigests:
     def test_matches_golden(self, golden, core, policy):
         keys = [key for key in case_keys() if key.split("/")[1] == policy]
         assert compute(core, keys) == {key: golden[key] for key in keys}
+
+
+class TestHashSeedIndependence:
+    """Results are a pure function of (spec, code): every digest,
+    recomputed in a fresh interpreter, is the committed one whatever the
+    interpreter's string-hash seed."""
+
+    SCRIPT = ("import json; from tests.test_golden_digests import "
+              "case_keys, compute; "
+              "print(json.dumps(compute('event', case_keys())))")
+
+    def test_digests_under_two_hash_seeds(self, golden):
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO)]),
+                   REPRO_CACHE="0", REPRO_EXPDB="0")
+        procs = {seed: subprocess.Popen(
+                     [sys.executable, "-c", self.SCRIPT], cwd=REPO,
+                     env=dict(env, PYTHONHASHSEED=seed),
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                     text=True)
+                 for seed in ("0", "4242")}
+        for seed, proc in procs.items():
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, (seed, err)
+            assert json.loads(out) == golden, seed
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import MemoryConfig
+from repro.kernels import get_kernel
 from repro.kernels.spec import KernelSpec, MemoryPattern
 from repro.sim.kernel_runtime import KernelRuntime
 
@@ -115,3 +116,20 @@ class TestIssueTable:
         for pc in range(3 * len(pattern) + 1):
             assert runtime.retired_lanes(pc) == total
             total += pattern[pc % len(pattern)].active_lanes
+
+
+class TestPcTable:
+    """``pc_table``: the issue table unrolled to one entry per instruction
+    counter, with the retire flag (kind 1) on a fixed-latency last slot."""
+
+    @pytest.mark.parametrize("name", ["mri-q", "sad", "sgemm", "spmv"])
+    def test_entry_is_the_pattern_slot(self, name):
+        runtime = KernelRuntime(0, get_kernel(name), MemoryConfig())
+        ops, table = runtime.ops, runtime.pc_table
+        assert len(table) == runtime.program_length
+        last = len(table) - 1
+        for pc in range(last):
+            assert table[pc] is ops[pc % len(ops)]
+        kind, delay, lanes = ops[last % len(ops)]
+        # mri-q and sad end on an ALU/SFU op, sgemm on BAR, spmv on LDG.
+        assert table[last] == (kind or 1, delay, lanes)

@@ -6,7 +6,7 @@ from repro.config import ENGINE_CORES
 from repro.kernels.spec import KernelSpec
 from repro.sim.scheduler import GTOScheduler, LRRScheduler, make_scheduler
 from repro.sim.tb import ThreadBlock
-from repro.sim.warp import Warp, WarpState
+from repro.sim.warp import NEVER, Warp, WarpState
 
 
 def make_warp(kernel_idx=0, ready_at=0):
@@ -50,7 +50,7 @@ class TestGTOSelection:
     def test_skips_non_running_states(self):
         scheduler = GTOScheduler()
         barrier, ready = make_warp(), make_warp()
-        barrier.state = WarpState.AT_BARRIER
+        barrier.set_state(WarpState.AT_BARRIER)
         scheduler.add_warp(barrier)
         scheduler.add_warp(ready)
         assert scheduler.select(0, ALL_OK) is ready
@@ -129,14 +129,6 @@ class TestRemoveWarp:
         assert scheduler.select(1, ALL_OK) is None
         assert scheduler.last is None
 
-    def test_ready_count(self):
-        scheduler = GTOScheduler()
-        scheduler.add_warp(make_warp(ready_at=0))
-        scheduler.add_warp(make_warp(ready_at=0))
-        scheduler.add_warp(make_warp(ready_at=50))
-        assert scheduler.ready_count(0, ALL_OK) == 2
-        assert scheduler.ready_count(50, ALL_OK) == 3
-
 
 class TestLRR:
     def test_rotates_between_ready_warps(self):
@@ -195,9 +187,6 @@ class TestBackReference:
         assert warp.sched is None
 
 
-_NEVER = 1 << 62
-
-
 class TestScanEquivalence:
     """The scan selection against a brute-force reference under a long
     seeded stimulus: issue-driven stalls of every length, quota throttling
@@ -214,7 +203,7 @@ class TestScanEquivalence:
         eligible = [w for w in hosted
                     if w.state == WarpState.RUNNING and quota[w.kernel_idx]]
         ready = [w for w in eligible if w.ready_at <= cycle]
-        wake = min((w.ready_at for w in eligible), default=_NEVER)
+        wake = min((w.ready_at for w in eligible), default=NEVER)
         if not ready:
             return None, wake
         if policy == "gto":
@@ -261,7 +250,7 @@ class TestScanEquivalence:
             last = pick
             next_index = hosted.index(pick) + 1
             if state % 41 == 0:  # retire
-                pick.state = WarpState.DONE
+                pick.set_state(WarpState.DONE)
                 continue
             # Issue: stall the warp — pipeline-short, L2-medium or
             # DRAM-long.
@@ -282,7 +271,7 @@ class TestScanEquivalence:
         for i in range(8):
             warp = make_warp(kernel_idx=i % 2, ready_at=(0, 3, 90, 500)[i % 4])
             if i == 5:
-                warp.state = WarpState.AT_BARRIER
+                warp.set_state(WarpState.AT_BARRIER)
             scheduler.add_warp(warp)
             warps.append(warp)
         for cycle in (0, 5, 100, 600):

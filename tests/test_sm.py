@@ -187,14 +187,6 @@ class TestIdleSampling:
         harness.sm.reset_epoch_sampling()
         assert harness.sm.idle_samples == 0
         assert harness.sm.mean_idle_warps(0) == 0.0
-        assert harness.sm.retired_local[0] == 0
-
-    def test_retired_local_tracks_per_epoch(self):
-        harness = Harness([alu_spec()])
-        harness.sm.dispatch_tb(0, 0, 0)
-        harness.run(20, start=1)
-        assert harness.sm.retired_local[0] == \
-            harness.stats[0].retired_thread_insts
 
 
 class TestEvictionVictim:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import SMConfig
 from repro.kernels.spec import KernelSpec
 from repro.sim.tb import SMResources, ThreadBlock
-from repro.sim.warp import Warp, WarpState
+from repro.sim.warp import NEVER, Warp, WarpState
 
 
 def small_spec(name="tb-test", threads=64, regs=16, smem=1024):
@@ -97,6 +97,7 @@ class TestThreadBlockBarrier:
         assert tb.arrive_barrier(tb.warps[0], cycle=10) is False
         assert tb.arrive_barrier(tb.warps[1], cycle=11) is False
         assert tb.warps[0].state == WarpState.AT_BARRIER
+        assert tb.warps[0].ready_at == NEVER  # parked: never ready
 
     def test_last_arrival_releases_everyone(self):
         tb = self._tb_with_warps(3)
@@ -128,9 +129,10 @@ class TestThreadBlockLifecycle:
     def test_freeze_marks_warps(self):
         tb = ThreadBlock(0, 0, small_spec(), 0)
         tb.warps.extend(Warp(0, tb, i, 1, 0) for i in range(3))
-        tb.warps[0].state = WarpState.DONE
+        tb.warps[0].set_state(WarpState.DONE)
         tb.freeze()
         assert tb.evicting is True
         assert tb.warps[0].state == WarpState.DONE  # done warps untouched
         assert tb.warps[1].state == WarpState.FROZEN
         assert tb.warps[2].state == WarpState.FROZEN
+        assert all(warp.ready_at == NEVER for warp in tb.warps)

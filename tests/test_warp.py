@@ -4,7 +4,7 @@ from repro.config import MemoryConfig
 from repro.kernels.spec import KernelSpec, MemoryPattern
 from repro.sim.kernel_runtime import KernelRuntime
 from repro.sim.tb import ThreadBlock
-from repro.sim.warp import Warp, WarpState
+from repro.sim.warp import NEVER, Warp, WarpState
 
 
 def make_runtime(kernel_idx=0, **memory_kwargs):
@@ -93,6 +93,14 @@ class TestWarpState:
         assert warp.state == WarpState.RUNNING
         assert warp.pc == 0
         assert warp.ready_at == 0
+
+    def test_set_state_parks_and_resumes(self):
+        warp = make_warp(make_runtime())
+        for state in (WarpState.AT_BARRIER, WarpState.FROZEN, WarpState.DONE):
+            warp.set_state(state, ready_at=5)  # a parked warp ignores it
+            assert (warp.state, warp.ready_at) == (state, NEVER)
+        warp.set_state(WarpState.RUNNING, 17)
+        assert (warp.state, warp.ready_at) == (WarpState.RUNNING, 17)
 
     def test_state_names(self):
         assert WarpState.NAMES[WarpState.RUNNING] == "RUNNING"
