@@ -61,8 +61,8 @@ from repro.config import ENGINE_CORES, FAST_GPU, KB, LatencyConfig, \
     MemoryConfig, SMConfig
 from repro.harness.cache import (CaseCache, code_salt, experiment_id_for,
                                  experiment_spec_hash, sweep_grid_payload)
-from repro.harness.parallel import ParallelCaseRunner, resolve_workers
-from repro.harness.runner import CaseRunner, CaseSpec
+from repro.harness.parallel import resolve_workers
+from repro.harness.runner import CaseRunner, CaseSpec, ParallelCaseRunner
 from repro.kernels import get_kernel
 from repro.kernels.spec import InstructionMix, KernelSpec, MemoryPattern
 from repro.kernels.synthetic import streaming_kernel

@@ -66,15 +66,14 @@ IMPORT_CONTRACTS: Tuple[ImportContract, ...] = (
     ImportContract(
         name="serve-layering",
         packages=("repro.serve",),
-        forbidden=("repro.analysis", "repro.harness.parallel",
-                   "repro.harness.experiments"),
+        forbidden=("repro.analysis", "repro.harness.experiments"),
         rationale=("the serving layer sits inside the code-salt closure "
                    "(serve results are cached): it may build on the "
                    "simulator, qos machinery, osched predictor and the "
-                   "salted harness modules (runner/cache/expdb), but "
-                   "pulling in the linter or the unsalted pool/figure "
-                   "drivers would either drag unsalted code into results "
-                   "or invert the tooling layering"),
+                   "salted harness modules (runner/parallel/cache/expdb; "
+                   "SALT001 keeps whatever it imports salted), but "
+                   "pulling in the linter or the figure drivers would "
+                   "invert the tooling layering"),
     ),
     ImportContract(
         name="expdb-engine-independence",

@@ -11,7 +11,7 @@ writes, with ``-o`` — the comparison table committed under
 the Rollover reference, with ``--quick`` shrinking scale for CI smoke.
 
 Both ride the existing harness: cases fan out over
-:class:`~repro.harness.parallel.ParallelCaseRunner` and land in the
+:class:`~repro.harness.runner.ParallelCaseRunner` and land in the
 persistent case cache, so re-scoring after a table-format change
 re-simulates nothing.
 """
@@ -72,7 +72,7 @@ def run_grid(policies: Sequence[str],
     case.  One flat sweep feeds the parallel runner, so independent cases
     fan out together; results come back in input order."""
     from repro.harness.cache import open_default_cache
-    from repro.harness.parallel import ParallelCaseRunner
+    from repro.harness.runner import ParallelCaseRunner
 
     preset = experiment_preset(preset_name)
     cache = open_default_cache() if use_cache else None

@@ -4,9 +4,11 @@ Layout:
 
 * :mod:`repro.harness.presets` — the fast (default) and paper-scale
   experiment presets, plus pair/trio workload enumeration.
-* :mod:`repro.harness.runner` — memoised isolated and co-run execution.
-* :mod:`repro.harness.parallel` — process-pool sweep fan-out
-  (:class:`ParallelCaseRunner`).
+* :mod:`repro.harness.runner` — memoised isolated and co-run execution
+  (:class:`CaseRunner`, :class:`ParallelCaseRunner`).
+* :mod:`repro.harness.parallel` — the sweep engine every co-run and serving
+  sweep runs through: experiment-store claim loop, serial or over a
+  process pool.
 * :mod:`repro.harness.cache` — persistent on-disk case store shared by all
   figures and invocations.
 * :mod:`repro.harness.metrics` — QoSreach, normalized throughput, overshoot,
@@ -24,8 +26,8 @@ from repro.harness.presets import (
     all_trios,
 )
 from repro.harness.runner import (CaseRecord, CaseRunner, CaseSpec,
-                                  KernelOutcome)
-from repro.harness.parallel import ParallelCaseRunner, resolve_workers
+                                  KernelOutcome, ParallelCaseRunner)
+from repro.harness.parallel import resolve_workers
 from repro.harness.cache import CaseCache, open_default_cache
 from repro.harness.metrics import (
     qos_reach,

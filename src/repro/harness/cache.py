@@ -13,7 +13,7 @@ result depends on:
 * measured cycles and warm-up cycles,
 * a **code salt**: a digest of the source of every package that affects
   simulation outcomes (`sim`, `qos`, `kernels`, `baselines`, `sharing`,
-  `power`, `config`, and the runner itself).  Editing any of those files
+  `power`, `config`, and the runner and sweep engine themselves).  Editing any of those files
   invalidates the whole cache automatically; docs/harness-report edits do
   not.
 
@@ -46,7 +46,8 @@ ENV_CACHE = "REPRO_CACHE"
 #: logic below decides what a cached entry means.
 _SALTED = ("config.py", "isa", "kernels", "sim", "qos", "baselines",
            "controllers", "sharing", "power", "osched", "serve",
-           "harness/runner.py", "harness/cache.py", "harness/expdb.py")
+           "harness/runner.py", "harness/parallel.py", "harness/cache.py",
+           "harness/expdb.py")
 
 _code_salt_memo: Optional[str] = None
 

@@ -10,8 +10,10 @@ Subcommands::
     exp gc                drop experiments stale under the current code salt
 
 ``resume`` rebuilds the exact runner from the stored grid — machine config,
-cycle counts, telemetry flag and spec list all come from the experiment row
-— and re-enters the ordinary pull loop: cases already done are skipped,
+cycle counts, telemetry flag and spec list all come from the experiment row;
+a serving sweep (grid kind ``serve-experiment``) rebuilds a
+:class:`repro.serve.runner.ServeRunner` — and re-enters the ordinary pull
+loop of the sweep engine: cases already done are skipped,
 cases left ``running``/``failed`` by the interrupted run are released back
 to pending, and the records produced are byte-identical to an uninterrupted
 sweep (the simulator is deterministic and case identity is content-hashed).
@@ -110,8 +112,11 @@ def _show_command(db, experiment_id: str) -> int:
     print(f"machine:    {grid['gpu']['num_sms']} SMs, "
           f"{grid['gpu']['num_mcs']} MCs, engine core "
           f"{grid['gpu']['engine_core']}")
-    print(f"cycles:     {grid['cycles']} (+{grid['warmup']} warm-up), "
-          f"telemetry {'on' if grid['telemetry'] else 'off'}")
+    if _is_serving(grid):
+        print("kind:       serving sweep")
+    else:
+        print(f"cycles:     {grid['cycles']} (+{grid['warmup']} warm-up), "
+              f"telemetry {'on' if grid['telemetry'] else 'off'}")
     print(f"cases:      {record['total_cases']}")
     for status, count in sorted(db.case_counts(experiment_id).items()):
         print(f"  {status:<9} {count}")
@@ -120,6 +125,12 @@ def _show_command(db, experiment_id: str) -> int:
         print(f"isolated:   {len(isolated)} denominators recorded "
               f"({', '.join(sorted(isolated))})")
     return 0
+
+
+def _is_serving(grid: dict) -> bool:
+    """True for a serving load sweep's grid (see
+    :func:`repro.harness.cache.serve_grid_payload`)."""
+    return grid.get("kind") == "serve-experiment"
 
 
 def _spec_label(payload: dict) -> str:
@@ -207,8 +218,8 @@ def _resume_command(db, experiment_id: str, workers: Optional[int],
                     no_cache: bool) -> int:
     from repro.config import gpu_config_from_dict
     from repro.harness.cache import code_salt, open_default_cache
-    from repro.harness.parallel import ParallelCaseRunner
-    from repro.harness.runner import CaseSpec
+    from repro.harness.runner import ParallelCaseRunner
+    from repro.serve.runner import ServeRunner
 
     record = db.experiment(experiment_id)
     if record is None:
@@ -224,12 +235,16 @@ def _resume_command(db, experiment_id: str, workers: Optional[int],
     pending = sum(count for status, count in before.items()
                   if status != "done")
     grid = record["grid"]
-    runner = ParallelCaseRunner(
-        gpu_config_from_dict(grid["gpu"]), grid["cycles"],
-        warmup_cycles=grid["warmup"],
-        cache=None if no_cache else open_default_cache(),
-        workers=workers, telemetry=bool(grid["telemetry"]), expdb=db)
-    specs = [CaseSpec.from_payload(payload) for payload in grid["specs"]]
+    gpu = gpu_config_from_dict(grid["gpu"])
+    cache = None if no_cache else open_default_cache()
+    if _is_serving(grid):
+        runner = ServeRunner(gpu, cache=cache, expdb=db, workers=workers)
+    else:
+        runner = ParallelCaseRunner(
+            gpu, grid["cycles"], warmup_cycles=grid["warmup"], cache=cache,
+            workers=workers, telemetry=bool(grid["telemetry"]), expdb=db)
+    specs = [runner.spec_type.from_payload(payload)
+             for payload in grid["specs"]]
     records = runner.sweep(specs)
     after = db.case_counts(experiment_id)
     print(f"{experiment_id}: {after.get('done', 0)}/{len(records)} cases "

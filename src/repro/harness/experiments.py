@@ -25,10 +25,10 @@ from repro.harness.metrics import (
 )
 from repro.harness.cache import code_salt, open_default_cache
 from repro.harness.expdb import open_default_expdb
-from repro.harness.parallel import ParallelCaseRunner
 from repro.harness.presets import ExperimentPreset, FAST_PRESET
 from repro.harness.report import format_table, provenance_footer, series_rows
-from repro.harness.runner import CaseRecord, CaseRunner, CaseSpec
+from repro.harness.runner import (CaseRecord, CaseRunner, CaseSpec,
+                                  ParallelCaseRunner)
 
 PAIR_POLICIES = ("spart", "naive", "elastic", "rollover")
 

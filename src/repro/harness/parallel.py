@@ -1,43 +1,52 @@
-"""Parallel sweep execution over a process pool.
+"""The sweep engine: one claim loop for co-run and serving sweeps.
 
-A figure sweep is 60-900 *independent* co-run cases; the serial
-:class:`~repro.harness.runner.CaseRunner` claims and runs them one after
-another in one interpreter.  :class:`ParallelCaseRunner` keeps the exact
-same results contract — records keyed and ordered by case key, never by
-completion order — while fanning the pending work out over a
-:class:`concurrent.futures.ProcessPoolExecutor`:
+A figure sweep is a grid of independent co-run cases and a serving load
+sweep is a grid of independent serving cases, so both run through the same
+machinery here.  :class:`SweepRunner` is the base of
+:class:`repro.harness.runner.CaseRunner` and
+:class:`repro.serve.runner.ServeRunner`; each of those is a task adapter
+that supplies the spec type, how one case runs, its cache key and outcome
+codec, and its grid payload.  The engine owns the flow every sweep takes:
 
-1. the **isolated IPCs** every normalisation divides by are computed first,
-   as their own parallel batch, persisted into the experiment store (so a
-   resumed sweep never re-simulates a denominator) and seeded into every
-   pool worker **once, at pool construction** — per-case task payloads
-   carry only the :class:`CaseSpec` itself, not a copy of the machine and
-   denominator state;
-2. the parent **pulls** pending cases from the experiment store
-   (claim-by-update, same protocol as the serial runner) and submits the
-   ones that miss the memo and persistent cache; each worker is a
-   throwaway serial ``CaseRunner`` — which is what guarantees parallel
-   records are bit-identical to serial ones (the simulator itself is
-   deterministic);
-3. results land in the memo and persistent cache, cases flip to ``done``
-   in the store, and the sweep returns records in input order.
+1. every spec maps to a content key (the adapter's :meth:`_cache_key`),
+   and outcomes live in an in-process memo backed by the optional
+   persistent :class:`repro.harness.cache.CaseCache`;
+2. the full grid is registered in the experiment store
+   (:class:`repro.harness.expdb.ExperimentDB`, persistent or a throwaway
+   in-memory one), so the same grid under the same code always has the
+   same experiment id;
+3. cases are **pulled** from the store one claim at a time: serially, or
+   over a :class:`concurrent.futures.ProcessPoolExecutor` whose workers
+   each hold one throwaway serial runner built at pool construction.
+   Duplicate specs attach to the future already in flight; a pool that
+   dies (a killed worker, a sandbox without process spawning) releases
+   its claims and the serial loop finishes the grid;
+4. the fault seam (:attr:`SweepRunner.fault_after`) raises
+   :class:`SweepInterrupted` after a set number of completed cases, the
+   stand-in for a crash that the interrupt/resume tests rely on.
+
+Records come back in input order, never completion order, and every case
+runs through the adapter's public method (``run_case``/``run_spec``), so
+parallel and resumed sweeps are byte-identical to serial ones.  This module
+is salted (it decides which cases run and which cached outcomes a sweep
+returns); ``concurrent.futures`` is imported only when a pool is opened.
 
 Worker count comes from (in priority order) the constructor, the
-``REPRO_WORKERS`` environment variable, and ``os.cpu_count() - 1``.  With
-one worker — or when the platform refuses to give us a process pool — the
-sweep silently degrades to the serial claim loop.
+``REPRO_WORKERS`` environment variable, and ``os.cpu_count() - 1``; see
+:func:`resolve_workers`.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import GPUConfig
-from repro.harness.runner import (CaseRecord, CaseRunner, CaseSpec,
-                                  RegisteredSweep)
-
 ENV_WORKERS = "REPRO_WORKERS"
+
+#: Errors that mean the platform cannot run (or keep running) a process
+#: pool; the engine falls back to the serial claim loop on any of them.
+_NO_POOL = (OSError, PermissionError, ImportError)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -51,118 +60,287 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(1, workers)
 
 
-# ----------------------------------------------------------------- workers
-# Module-level so they pickle.  Each pool worker builds ONE throwaway serial
-# CaseRunner at pool construction (the initializer) and reuses it for every
-# task it is handed: the machine description and isolated-IPC seed cross the
-# process boundary once per sweep instead of once per case, and the worker's
-# memo deduplicates within its share of the grid.  A throwaway serial runner
-# is exactly what makes parallel results identical to serial ones.
-
-_WORKER_RUNNER: Optional[CaseRunner] = None
+class SweepInterrupted(RuntimeError):
+    """Raised by the fault-injection seam (:attr:`SweepRunner.fault_after`):
+    the controlled stand-in for a worker crash or a killed process that the
+    interrupt/resume tests and the CI resume-smoke step rely on."""
 
 
-def _isolated_task(args: Tuple[GPUConfig, int, int, str]) -> float:
-    gpu, cycles, warmup, name = args
-    return CaseRunner(gpu, cycles, warmup).isolated_ipc(name)
+@dataclass(frozen=True)
+class RegisteredSweep:
+    """One sweep registered in an experiment store (persistent or ephemeral).
+
+    ``persistent`` distinguishes the shared on-disk store — whose ids are
+    worth reporting as provenance and resuming later — from the throwaway
+    in-memory store every unregistered sweep still routes through (so the
+    pull-based claim loop is never a special case).
+    """
+
+    db: object  # ExperimentDB (kept untyped: expdb is imported lazily)
+    experiment_id: str
+    spec_hash: str
+    persistent: bool
 
 
-def _worker_init(gpu: GPUConfig, cycles: int, warmup: int, telemetry: bool,
-                 isolated: Dict[str, float]) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = CaseRunner(gpu, cycles, warmup, telemetry=telemetry)
-    _WORKER_RUNNER._isolated.update(isolated)
+# ----------------------------------------------------------------- pool
+# Module-level so they pickle.  Each pool worker holds ONE throwaway serial
+# runner (built by the parent, handed over once by the initializer) and
+# reuses it for every task: the machine description and any seeded state
+# cross the process boundary once per sweep instead of once per case.
+
+_WORKER: Optional["SweepRunner"] = None
 
 
-def _run_spec_task(spec: CaseSpec) -> CaseRecord:
-    return _WORKER_RUNNER.run_case(spec.names, spec.qos_flags,
-                                   spec.goal_fractions, spec.policy)
+def _worker_init(runner: "SweepRunner") -> None:
+    global _WORKER
+    _WORKER = runner
 
 
-class ParallelCaseRunner(CaseRunner):
-    """A :class:`CaseRunner` whose claim loop fans out over processes."""
+def _run_task(spec):
+    return _WORKER.run_task(spec)
 
-    def __init__(self, gpu: GPUConfig, cycles: int,
-                 warmup_cycles: Optional[int] = None, cache=None,
-                 workers: Optional[int] = None, telemetry: bool = False,
-                 expdb=None):
-        super().__init__(gpu, cycles, warmup_cycles, cache=cache,
-                         telemetry=telemetry, expdb=expdb)
-        self.workers = resolve_workers(workers)
 
-    # ----------------------------------------------------------- fan-out
+def open_pool(workers: int, initializer=None, initargs: tuple = ()):
+    """A process pool of ``workers``, or None when the platform refuses."""
+    try:
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor(max_workers=workers,
+                                   initializer=initializer,
+                                   initargs=initargs)
+    except _NO_POOL:
+        return None
 
-    def _map(self, function, argument_list: list) -> list:
-        """Run a batch through a pool, preserving input order; degrade to
-        the serial path when parallelism is pointless or unavailable."""
-        if self.workers <= 1 or len(argument_list) <= 1:
-            return [function(args) for args in argument_list]
+
+def pool_map(function, argument_list: list, workers: int) -> list:
+    """``[function(args) for args in argument_list]``, over a pool when
+    there is more than one worker and one item; input order is kept."""
+    pool = None
+    if workers > 1 and len(argument_list) > 1:
+        pool = open_pool(min(workers, len(argument_list)))
+    if pool is None:
+        return [function(args) for args in argument_list]
+    try:
+        with pool:
+            return list(pool.map(function, argument_list, chunksize=1))
+    except _NO_POOL:
+        # Sandboxes without process spawning / semaphores: stay correct.
+        return [function(args) for args in argument_list]
+
+
+class SweepRunner:
+    """Memoised cases plus pull-based sweeps; subclasses adapt one task.
+
+    Adapters set :attr:`spec_type` (a frozen spec with ``key``,
+    ``payload()`` and ``from_payload()``) and implement :meth:`run_task`,
+    :meth:`_cache_key`, :meth:`_cache_get`, :meth:`_cache_put`,
+    :meth:`_grid_payload` and :meth:`_pool_worker`.
+    """
+
+    #: The adapter's spec class (set by every subclass).
+    spec_type: type
+    #: Pool width; 1 (the default) claims and runs cases in-process.
+    workers: int = 1
+
+    def __init__(self, gpu, cache=None, expdb=None):
+        self.gpu = gpu
+        #: Optional :class:`repro.harness.cache.CaseCache`; consulted on
+        #: memo misses, fed on every fresh case.
+        self.cache = cache
+        #: Optional :class:`repro.harness.expdb.ExperimentDB`.  When set,
+        #: :meth:`sweep` registers its grid there and the sweep becomes
+        #: durable: interruptible, resumable (``repro exp resume``) and
+        #: attributable (provenance ids in :attr:`experiment_log`).  When
+        #: None, sweeps route through a throwaway in-memory store instead —
+        #: same claim loop, zero persistence.
+        self.expdb = expdb
+        #: ``(experiment id, spec hash)`` of every sweep this runner
+        #: registered in the *persistent* store, in registration order —
+        #: the raw material of figure provenance lines.
+        self.experiment_log: List[Tuple[str, str]] = []
+        #: Test seam: raise :class:`SweepInterrupted` after this many cases
+        #: of a sweep complete — the interrupt half of the interrupt/resume
+        #: differential tests.  None (the default) never fires.
+        self.fault_after: Optional[int] = None
+        self._memo: Dict[tuple, object] = {}
+
+    # ------------------------------------------------------- adapter hooks
+
+    def run_task(self, spec):
+        """Run (or recall) one case through the adapter's public method."""
+        raise NotImplementedError
+
+    def _cache_key(self, spec) -> str:
+        """The content key of ``spec`` in the persistent case cache."""
+        raise NotImplementedError
+
+    def _cache_get(self, key: str):
+        raise NotImplementedError
+
+    def _cache_put(self, key: str, outcome) -> None:
+        raise NotImplementedError
+
+    def _grid_payload(self, payloads: List[dict]) -> dict:
+        """Everything that identifies the sweep and rebuilds its runner."""
+        raise NotImplementedError
+
+    def _pool_worker(self) -> "SweepRunner":
+        """The throwaway serial runner every pool worker runs tasks on."""
+        raise NotImplementedError
+
+    def _before_claims(self, sweep_reg: RegisteredSweep,
+                       pending: list) -> None:
+        """Called once per sweep, before any claim, with the specs still
+        pending (possibly none)."""
+
+    # --------------------------------------------------------------- memo
+
+    def _recall(self, spec):
+        """The memoised or cached outcome of ``spec``, or None."""
+        outcome = self._memo.get(spec.key)
+        if outcome is None and self.cache is not None:
+            outcome = self._cache_get(self._cache_key(spec))
+            if outcome is not None:
+                self._memo[spec.key] = outcome
+        return outcome
+
+    def _remember(self, spec, outcome):
+        """Memoise a freshly computed outcome and feed the cache."""
+        self._memo[spec.key] = outcome
+        if self.cache is not None:
+            self._cache_put(self._cache_key(spec), outcome)
+        return outcome
+
+    @property
+    def cached_cases(self) -> int:
+        return len(self._memo)
+
+    # -------------------------------------------------------------- sweeps
+
+    def sweep(self, specs: Sequence, register: bool = True) -> list:
+        """Run a batch of cases, returning outcomes in input order.
+
+        Every sweep is an *experiment*: the full grid is registered in the
+        experiment store (the runner's persistent :attr:`expdb` when set
+        and ``register`` is True, a throwaway in-memory store otherwise)
+        and cases are **pulled** from its table one claim at a time rather
+        than consumed as a static list.  Already-done cases — from the
+        memo, the persistent case cache, or a previous interrupted run of
+        the same grid — are never re-run, which is what makes ``repro exp
+        resume`` converge on outcomes byte-identical to an uninterrupted
+        run.  ``register=False`` keeps a sweep out of the persistent store
+        — for memo-slicing re-sweeps of grids already registered.
+        """
+        specs = list(specs)
+        if not specs:
+            return []
+        sweep_reg = self._register_sweep(specs, register)
         try:
-            from concurrent.futures import ProcessPoolExecutor
-            max_workers = min(self.workers, len(argument_list))
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(function, argument_list, chunksize=1))
-        except (OSError, PermissionError, ImportError):
-            # Sandboxes without process spawning / semaphores: stay correct.
-            return [function(args) for args in argument_list]
+            self._pull_pending(sweep_reg)
+        finally:
+            sweep_reg.db.finish(sweep_reg.experiment_id)
+            if not sweep_reg.persistent:
+                sweep_reg.db.close()
+        return [self.run_task(spec) for spec in specs]
+
+    def _register_sweep(self, specs: Sequence,
+                        register: bool) -> RegisteredSweep:
+        """Register the grid in the experiment store (idempotent: the same
+        grid under the same code always maps to the same experiment id)."""
+        from repro.harness.cache import (code_salt, experiment_id_for,
+                                         experiment_spec_hash)
+        from repro.harness.expdb import ExperimentDB
+
+        payloads = [spec.payload() for spec in specs]
+        grid = self._grid_payload(payloads)
+        spec_hash = experiment_spec_hash(grid)
+        experiment_id = experiment_id_for(spec_hash)
+        persistent = register and self.expdb is not None
+        db = self.expdb if persistent else ExperimentDB(":memory:")
+        case_rows = [(payload, self._cache_key(spec))
+                     for spec, payload in zip(specs, payloads)]
+        db.register(experiment_id, spec_hash, code_salt(), grid, case_rows)
+        if persistent:
+            self.experiment_log.append((experiment_id, spec_hash))
+        return RegisteredSweep(db, experiment_id, spec_hash, persistent)
+
+    def _fault_check(self, completed: int) -> None:
+        if self.fault_after is not None and completed >= self.fault_after:
+            raise SweepInterrupted(
+                f"fault injected after {completed} completed cases")
 
     def _pull_pending(self, sweep_reg: RegisteredSweep) -> None:
-        from concurrent.futures import BrokenExecutor
+        """Claim and run pending cases until the table is drained: over a
+        pool when there is more than one worker and pending case, serially
+        otherwise or when the pool cannot be opened or dies."""
         from repro.harness.expdb import PENDING
 
         db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
         db.release_stale(experiment_id)
-        self._seed_isolated_from(sweep_reg)
-        pending = [CaseSpec.from_payload(row["spec"])
+        pending = [self.spec_type.from_payload(row["spec"])
                    for row in db.cases(experiment_id)
                    if row["status"] == PENDING]
+        self._before_claims(sweep_reg, pending)
         if not pending:
             return
-        self._prefetch_isolated(pending)
-        self._record_isolated(
-            sweep_reg, [name for spec in pending for name in spec.names])
-        if self.workers <= 1 or len(pending) <= 1:
-            return super()._pull_pending(sweep_reg)
-        pool = self._open_pool(len(pending))
-        if pool is None:
-            return super()._pull_pending(sweep_reg)
-        try:
-            self._pull_through_pool(sweep_reg, pool)
-        except (BrokenExecutor, OSError, PermissionError, ImportError):
-            # The pool died under us (sandboxed spawn, lost semaphores):
-            # reclaim whatever was in flight and finish serially.
-            db.release_stale(experiment_id)
-            return super()._pull_pending(sweep_reg)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+        if self.workers > 1 and len(pending) > 1:
+            pool = open_pool(min(self.workers, len(pending)), _worker_init,
+                             (self._pool_worker(),))
+            if pool is not None:
+                from concurrent.futures import BrokenExecutor
+                try:
+                    return self._pull_through_pool(sweep_reg, pool)
+                except (BrokenExecutor,) + _NO_POOL:
+                    # The pool died under us (a killed worker, lost
+                    # semaphores): reclaim whatever was in flight and
+                    # finish serially.
+                    db.release_stale(experiment_id)
+                finally:
+                    pool.shutdown(wait=False, cancel_futures=True)
+        self._pull_serial(sweep_reg)
 
-    def _open_pool(self, pending_count: int):
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            return ProcessPoolExecutor(
-                max_workers=min(self.workers, pending_count),
-                initializer=_worker_init,
-                initargs=(self.gpu, self.cycles, self.warmup_cycles,
-                          self.telemetry, dict(self._isolated)))
-        except (OSError, PermissionError, ImportError):
-            return None
+    def _pull_serial(self, sweep_reg: RegisteredSweep) -> None:
+        """The serial claim loop.
+
+        A case that raises is marked failed and the exception propagates
+        (the sweep aborts like a crashed process would); everything already
+        marked done stays done, so the next run of the same grid resumes.
+        """
+        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
+        worker = f"serial:{os.getpid()}"
+        completed = 0
+        while True:
+            claim = db.claim_next(experiment_id, worker)
+            if claim is None:
+                break
+            case_index, payload = claim
+            spec = self.spec_type.from_payload(payload)
+            try:
+                self.run_task(spec)
+            except BaseException as error:
+                db.mark_failed(experiment_id, case_index, repr(error))
+                raise
+            db.mark_done(experiment_id, case_index)
+            completed += 1
+            self._fault_check(completed)
 
     def _pull_through_pool(self, sweep_reg: RegisteredSweep, pool) -> None:
         """The parallel claim loop: keep up to ``workers`` claims in flight.
 
         Claims that hit the memo or persistent cache are marked done
         without touching the pool; duplicate specs attach to the already
-        in-flight future instead of simulating twice.  A worker exception
-        marks its case(s) failed and propagates; cases still in flight
-        stay ``running`` and are released back to ``pending`` by the next
-        run's :meth:`ExperimentDB.release_stale` — exactly like a crash.
+        in-flight future instead of running twice.  A task exception marks
+        its case(s) failed and propagates; cases still in flight stay
+        ``running`` and are released back to ``pending`` by the next run's
+        :meth:`ExperimentDB.release_stale` — exactly like a crash.  A dead
+        pool propagates without marking anything failed, so the caller can
+        release the claims and finish serially.
         """
-        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 
         db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
         worker = f"pool:{os.getpid()}"
         completed = 0
-        inflight: Dict[object, Tuple[CaseSpec, List[int]]] = {}
+        inflight: Dict[object, Tuple[object, List[int]]] = {}
         by_key: Dict[tuple, object] = {}
         drained = False
         while True:
@@ -172,9 +350,8 @@ class ParallelCaseRunner(CaseRunner):
                     drained = True
                     break
                 case_index, payload = claim
-                spec = CaseSpec.from_payload(payload)
-                if (spec.key in self._cases
-                        or self._load_cached_case(spec.key, spec)):
+                spec = self.spec_type.from_payload(payload)
+                if self._recall(spec) is not None:
                     db.mark_done(experiment_id, case_index)
                     completed += 1
                     self._fault_check(completed)
@@ -183,7 +360,7 @@ class ParallelCaseRunner(CaseRunner):
                 if twin is not None:
                     inflight[twin][1].append(case_index)
                     continue
-                future = pool.submit(_run_spec_task, spec)
+                future = pool.submit(_run_task, spec)
                 inflight[future] = (spec, [case_index])
                 by_key[spec.key] = future
             if not inflight:
@@ -193,69 +370,15 @@ class ParallelCaseRunner(CaseRunner):
                 spec, case_indices = inflight.pop(future)
                 by_key.pop(spec.key, None)
                 try:
-                    record = future.result()
+                    outcome = future.result()
+                except (BrokenExecutor,) + _NO_POOL:
+                    raise
                 except BaseException as error:
                     for case_index in case_indices:
                         db.mark_failed(experiment_id, case_index, repr(error))
                     raise
-                self._cases[spec.key] = record
-                self._store_case(spec, record)
+                self._remember(spec, outcome)
                 for case_index in case_indices:
                     db.mark_done(experiment_id, case_index)
                     completed += 1
                 self._fault_check(completed)
-
-    # ------------------------------------------------------------ helpers
-
-    def _prefetch_isolated(self, specs: Sequence[CaseSpec]) -> None:
-        """Batch-compute every isolated IPC the pending cases will need
-        (the denominators of all outcome normalisations), in parallel."""
-        needed: List[str] = []
-        for spec in specs:
-            for name in spec.names:
-                if name not in self._isolated and name not in needed:
-                    needed.append(name)
-        if self.cache is not None:
-            from repro.harness.cache import isolated_key
-            still_needed = []
-            for name in needed:
-                cached = self.cache.get_isolated(isolated_key(
-                    self.gpu, name, self.cycles, self.warmup_cycles))
-                if cached is not None:
-                    self._isolated[name] = cached
-                else:
-                    still_needed.append(name)
-            needed = still_needed
-        if not needed:
-            return
-        argument_list = [(self.gpu, self.cycles, self.warmup_cycles, name)
-                         for name in needed]
-        for name, ipc in zip(needed, self._map(_isolated_task, argument_list)):
-            self._isolated[name] = ipc
-            if self.cache is not None:
-                from repro.harness.cache import isolated_key
-                self.cache.put_isolated(
-                    isolated_key(self.gpu, name, self.cycles,
-                                 self.warmup_cycles), ipc)
-
-    def _load_cached_case(self, key: tuple, spec: CaseSpec) -> bool:
-        if self.cache is None:
-            return False
-        from repro.harness.cache import case_key
-        cached = self.cache.get_case(case_key(
-            self.gpu, spec.names, spec.qos_flags, spec.goal_fractions,
-            spec.policy, self.cycles, self.warmup_cycles,
-            telemetry=self.telemetry))
-        if cached is None:
-            return False
-        self._cases[key] = cached
-        return True
-
-    def _store_case(self, spec: CaseSpec, record: CaseRecord) -> None:
-        if self.cache is None:
-            return
-        from repro.harness.cache import case_key
-        self.cache.put_case(case_key(
-            self.gpu, spec.names, spec.qos_flags, spec.goal_fractions,
-            spec.policy, self.cycles, self.warmup_cycles,
-            telemetry=self.telemetry), record)

@@ -5,25 +5,27 @@ so :class:`CaseRunner` memoises by full case key: Figure 6, 8, 9 and 14 all
 reuse one sweep.  Isolated IPCs (the denominators of every normalisation in
 the paper) are memoised per (kernel, machine, cycles).
 
-Two layers extend the in-process memo:
-
-* an optional persistent store (:class:`repro.harness.cache.CaseCache`)
-  consulted on memo misses and fed on every fresh simulation, so sweeps
-  survive across invocations;
-* :class:`repro.harness.parallel.ParallelCaseRunner`, which overrides
-  :meth:`CaseRunner.sweep` to fan independent cases out over a process
-  pool.  :class:`CaseSpec` is the declarative unit both layers share.
+:class:`CaseRunner` is the co-run task adapter of the sweep engine
+(:class:`repro.harness.parallel.SweepRunner`): the engine supplies the
+persistent case cache lookups, experiment-store registration and the
+serial/pool claim loops; this module supplies how one :class:`CaseSpec`
+runs, its cache key, and the isolated-IPC denominators every sweep
+settles before its first claim (seeded from the store, computed as one
+batch, recorded).
+:class:`ParallelCaseRunner` is the same runner with a pool width taken
+from ``REPRO_WORKERS``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import SpartPolicy
 from repro.config import GPUConfig
 from repro.controllers import CONTROLLER_NAMES, controller_by_name
+from repro.harness.parallel import (RegisteredSweep, SweepInterrupted,
+                                    SweepRunner, pool_map, resolve_workers)
 from repro.kernels import get_kernel, intensity_class
 from repro.power import PowerModel
 from repro.qos import QoSPolicy
@@ -93,28 +95,6 @@ class CaseSpec:
         return cls(tuple(payload["names"]),
                    tuple(bool(flag) for flag in payload["qos"]),
                    tuple(payload["goals"]), payload["policy"])
-
-
-class SweepInterrupted(RuntimeError):
-    """Raised by the fault-injection seam (:attr:`CaseRunner.fault_after`):
-    the controlled stand-in for a worker crash or a killed process that the
-    interrupt/resume tests and the CI resume-smoke step rely on."""
-
-
-@dataclass(frozen=True)
-class RegisteredSweep:
-    """One sweep registered in an experiment store (persistent or ephemeral).
-
-    ``persistent`` distinguishes the shared on-disk store — whose ids are
-    worth reporting as provenance and resuming later — from the throwaway
-    in-memory store every unregistered sweep still routes through (so the
-    pull-based claim loop is never a special case).
-    """
-
-    db: object  # ExperimentDB (kept untyped: expdb is imported lazily)
-    experiment_id: str
-    spec_hash: str
-    persistent: bool
 
 
 @dataclass(frozen=True)
@@ -189,7 +169,13 @@ class CaseRecord:
         return sum(k.ipc for k in self.kernels)
 
 
-class CaseRunner:
+def _isolated_task(args: Tuple[GPUConfig, int, int, str]) -> float:
+    """Pool task of the isolated-IPC prefetch (module-level so it pickles)."""
+    gpu, cycles, warmup, name = args
+    return CaseRunner(gpu, cycles, warmup).isolated_ipc(name)
+
+
+class CaseRunner(SweepRunner):
     """Runs and memoises isolated and co-run simulations.
 
     Every run discards a warm-up window (``warmup_cycles``, default two
@@ -198,39 +184,22 @@ class CaseRunner:
     2M-cycle runs amortise the same ramp to nothing.
     """
 
+    spec_type = CaseSpec
+
     def __init__(self, gpu: GPUConfig, cycles: int,
                  warmup_cycles: Optional[int] = None, cache=None,
                  telemetry: bool = False, expdb=None):
-        self.gpu = gpu
+        super().__init__(gpu, cache=cache, expdb=expdb)
         self.cycles = cycles
         if warmup_cycles is None:
             warmup_cycles = 2 * gpu.epoch_length
         self.warmup_cycles = warmup_cycles
-        #: Optional :class:`repro.harness.cache.CaseCache`; consulted on memo
-        #: misses, fed on every fresh simulation.
-        self.cache = cache
-        #: Optional :class:`repro.harness.expdb.ExperimentDB`.  When set,
-        #: :meth:`sweep` registers its grid there and the sweep becomes
-        #: durable: interruptible, resumable (``repro exp resume``) and
-        #: attributable (provenance ids in :attr:`experiment_log`).  When
-        #: None, sweeps route through a throwaway in-memory store instead —
-        #: same claim loop, zero persistence.
-        self.expdb = expdb
         #: When True, every co-run case carries its per-epoch telemetry
         #: stream in :attr:`CaseRecord.telemetry` (isolated runs are never
         #: telemetered — they only produce a scalar IPC).  Part of the cache
         #: key: telemetry-bearing records are cached separately.
         self.telemetry = telemetry
-        #: ``(experiment id, spec hash)`` of every sweep this runner
-        #: registered in the *persistent* store, in registration order —
-        #: the raw material of figure provenance lines.
-        self.experiment_log: List[Tuple[str, str]] = []
-        #: Test seam: raise :class:`SweepInterrupted` after this many cases
-        #: of a sweep complete — the interrupt half of the interrupt/resume
-        #: differential tests.  None (the default) never fires.
-        self.fault_after: Optional[int] = None
         self._isolated: Dict[str, float] = {}
-        self._cases: Dict[tuple, CaseRecord] = {}
         self._power = PowerModel(gpu)
 
     # ------------------------------------------------------------- isolated
@@ -240,9 +209,7 @@ class CaseRunner:
         if name not in self._isolated:
             cache_key = None
             if self.cache is not None:
-                from repro.harness.cache import isolated_key
-                cache_key = isolated_key(self.gpu, name, self.cycles,
-                                         self.warmup_cycles)
+                cache_key = self._isolated_key(name)
                 cached = self.cache.get_isolated(cache_key)
                 if cached is not None:
                     self._isolated[name] = cached
@@ -251,6 +218,10 @@ class CaseRunner:
             if cache_key is not None:
                 self.cache.put_isolated(cache_key, self._isolated[name])
         return self._isolated[name]
+
+    def _isolated_key(self, name: str) -> str:
+        from repro.harness.cache import isolated_key
+        return isolated_key(self.gpu, name, self.cycles, self.warmup_cycles)
 
     def _simulate_isolated(self, name: str) -> float:
         sim = GPUSimulator(self.gpu, [LaunchedKernel(get_kernel(name))])
@@ -269,24 +240,18 @@ class CaseRunner:
         ``goal_fractions`` are per-kernel fractions of isolated IPC; entries
         for non-QoS kernels are ignored and may be None.
         """
-        key = (tuple(names), tuple(qos_flags),
-               tuple(goal_fractions), policy)
-        if key in self._cases:
-            return self._cases[key]
-        cache_key = None
-        if self.cache is not None:
-            from repro.harness.cache import case_key
-            cache_key = case_key(self.gpu, names, qos_flags, goal_fractions,
-                                 policy, self.cycles, self.warmup_cycles,
-                                 telemetry=self.telemetry)
-            cached = self.cache.get_case(cache_key)
-            if cached is not None:
-                self._cases[key] = cached
-                return cached
+        spec = CaseSpec(tuple(names), tuple(qos_flags),
+                        tuple(goal_fractions), policy)
+        record = self._recall(spec)
+        if record is None:
+            record = self._remember(spec, self._simulate_case(spec))
+        return record
 
+    def _simulate_case(self, spec: CaseSpec) -> CaseRecord:
         launches = []
         goals = []
-        for name, is_qos, fraction in zip(names, qos_flags, goal_fractions):
+        for name, is_qos, fraction in zip(spec.names, spec.qos_flags,
+                                          spec.goal_fractions):
             if is_qos:
                 goal = fraction * self.isolated_ipc(name)
                 launches.append(LaunchedKernel(get_kernel(name), is_qos=True,
@@ -300,7 +265,7 @@ class CaseRunner:
         if self.telemetry:
             from repro.sim.telemetry import TelemetryRecorder
             recorder = TelemetryRecorder()
-        sim = GPUSimulator(self.gpu, launches, make_policy(policy),
+        sim = GPUSimulator(self.gpu, launches, make_policy(spec.policy),
                            telemetry=recorder)
         sim.run(self.warmup_cycles)
         sim.mark_measurement_start()
@@ -310,7 +275,7 @@ class CaseRunner:
 
         outcomes = []
         for launch, kernel_result, goal, fraction in zip(
-                launches, result.kernels, goals, goal_fractions):
+                launches, result.kernels, goals, spec.goal_fractions):
             outcomes.append(KernelOutcome(
                 name=kernel_result.name,
                 is_qos=launch.is_qos,
@@ -320,141 +285,88 @@ class CaseRunner:
                 ipc_goal=goal,
                 intensity=intensity_class(kernel_result.name),
             ))
-        power_w = self._power.average_power_w(result)
-        record = CaseRecord(
+        return CaseRecord(
             kernels=tuple(outcomes),
-            policy=policy,
+            policy=spec.policy,
             cycles=result.cycles,
             evictions=result.evictions,
             eviction_stall_cycles=result.eviction_stall_cycles,
-            power_w=power_w,
+            power_w=self._power.average_power_w(result),
             instructions_per_watt=self._power.instructions_per_watt(result),
             telemetry=epoch_records,
         )
-        self._cases[key] = record
-        if cache_key is not None:
-            self.cache.put_case(cache_key, record)
-        return record
 
-    # ---------------------------------------------------------------- sweeps
+    # ------------------------------------------------- sweep engine hooks
 
-    def sweep(self, cases: Sequence[CaseSpec],
-              register: bool = True) -> List[CaseRecord]:
-        """Run a batch of cases, returning records in input order.
+    def run_task(self, spec: CaseSpec) -> CaseRecord:
+        return self.run_case(spec.names, spec.qos_flags,
+                             spec.goal_fractions, spec.policy)
 
-        Every sweep is an *experiment*: the full grid is registered in the
-        experiment store (the runner's persistent :attr:`expdb` when set
-        and ``register`` is True, a throwaway in-memory store otherwise)
-        and cases are **pulled** from its table one claim at a time rather
-        than consumed as a static list.  Already-done cases — from the
-        memo, the persistent case cache, or a previous interrupted run of
-        the same grid — are never re-simulated, which is what makes
-        ``repro exp resume`` converge on records byte-identical to an
-        uninterrupted run.
+    def _cache_key(self, spec: CaseSpec) -> str:
+        from repro.harness.cache import case_key
+        return case_key(self.gpu, spec.names, spec.qos_flags,
+                        spec.goal_fractions, spec.policy, self.cycles,
+                        self.warmup_cycles, telemetry=self.telemetry)
 
-        The serial implementation claims and runs one case at a time; the
-        parallel runner overrides :meth:`_pull_pending` to fan claims out
-        over a process pool.  Both return identical records for identical
-        inputs.  ``register=False`` keeps a sweep out of the persistent
-        store — for memo-slicing re-sweeps of grids already registered.
-        """
-        specs = list(cases)
-        if not specs:
-            return []
-        sweep_reg = self._register_sweep(specs, register)
-        try:
-            self._pull_pending(sweep_reg)
-        finally:
-            sweep_reg.db.finish(sweep_reg.experiment_id)
-            if not sweep_reg.persistent:
-                sweep_reg.db.close()
-        return [self.run_case(spec.names, spec.qos_flags,
-                              spec.goal_fractions, spec.policy)
-                for spec in specs]
+    def _cache_get(self, key: str) -> Optional[CaseRecord]:
+        return self.cache.get_case(key)
 
-    # ------------------------------------------------- experiment plumbing
+    def _cache_put(self, key: str, record: CaseRecord) -> None:
+        self.cache.put_case(key, record)
 
-    def _register_sweep(self, specs: Sequence[CaseSpec],
-                        register: bool) -> RegisteredSweep:
-        """Register the grid in the experiment store (idempotent: the same
-        grid under the same code always maps to the same experiment id)."""
-        from repro.harness.cache import (case_key, code_salt,
-                                         experiment_id_for,
-                                         experiment_spec_hash,
-                                         sweep_grid_payload)
-        from repro.harness.expdb import ExperimentDB
-
-        payloads = [spec.payload() for spec in specs]
-        grid = sweep_grid_payload(self.gpu, self.cycles, self.warmup_cycles,
+    def _grid_payload(self, payloads: List[dict]) -> dict:
+        from repro.harness.cache import sweep_grid_payload
+        return sweep_grid_payload(self.gpu, self.cycles, self.warmup_cycles,
                                   self.telemetry, payloads)
-        spec_hash = experiment_spec_hash(grid)
-        experiment_id = experiment_id_for(spec_hash)
-        persistent = register and self.expdb is not None
-        db = self.expdb if persistent else ExperimentDB(":memory:")
-        case_rows = [
-            (payload, case_key(self.gpu, spec.names, spec.qos_flags,
-                               spec.goal_fractions, spec.policy, self.cycles,
-                               self.warmup_cycles, telemetry=self.telemetry))
-            for spec, payload in zip(specs, payloads)]
-        db.register(experiment_id, spec_hash, code_salt(), grid, case_rows)
-        if persistent:
-            self.experiment_log.append((experiment_id, spec_hash))
-        return RegisteredSweep(db, experiment_id, spec_hash, persistent)
 
-    def _seed_isolated_from(self, sweep_reg: RegisteredSweep) -> None:
-        """Adopt isolated-IPC denominators a previous (interrupted) run of
-        this experiment already computed, so resume never re-simulates
-        them — even with the persistent case cache disabled."""
-        for name, ipc in sweep_reg.db.isolated_ipcs(
-                sweep_reg.experiment_id).items():
+    def _pool_worker(self) -> "CaseRunner":
+        worker = CaseRunner(self.gpu, self.cycles, self.warmup_cycles,
+                            telemetry=self.telemetry)
+        worker._isolated.update(self._isolated)
+        return worker
+
+    def _before_claims(self, sweep_reg: RegisteredSweep,
+                       pending: List[CaseSpec]) -> None:
+        """Have every isolated-IPC denominator the pending cases need before
+        the first claim: adopt the ones a previous (interrupted) run of this
+        experiment recorded, so resume never re-simulates them — even with
+        the persistent case cache disabled — compute the rest as their own
+        batch, over the pool when there is one (pool workers are seeded
+        with every denominator at pool construction), and record them."""
+        experiment_id = sweep_reg.experiment_id
+        for name, ipc in sweep_reg.db.isolated_ipcs(experiment_id).items():
             self._isolated.setdefault(name, ipc)
-
-    def _record_isolated(self, sweep_reg: RegisteredSweep,
-                         names: Sequence[str]) -> None:
-        if not sweep_reg.persistent:
-            return
-        from repro.harness.cache import isolated_key
-        for name in names:
-            if name in self._isolated:
+        names: List[str] = []
+        for spec in pending:
+            for name in spec.names:
+                if name not in names:
+                    names.append(name)
+        self._prefetch_isolated([name for name in names
+                                 if name not in self._isolated])
+        if sweep_reg.persistent:
+            for name in names:
                 sweep_reg.db.record_isolated(
-                    sweep_reg.experiment_id, name,
-                    isolated_key(self.gpu, name, self.cycles,
-                                 self.warmup_cycles),
+                    experiment_id, name, self._isolated_key(name),
                     self._isolated[name])
 
-    def _fault_check(self, completed: int) -> None:
-        if self.fault_after is not None and completed >= self.fault_after:
-            raise SweepInterrupted(
-                f"fault injected after {completed} completed cases")
-
-    def _pull_pending(self, sweep_reg: RegisteredSweep) -> None:
-        """Claim and run pending cases until the table is drained.
-
-        A case that raises is marked failed and the exception propagates
-        (the sweep aborts like a crashed process would); everything already
-        marked done stays done, so the next run of the same grid resumes.
-        """
-        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
-        db.release_stale(experiment_id)
-        self._seed_isolated_from(sweep_reg)
-        worker = f"serial:{os.getpid()}"
-        completed = 0
-        while True:
-            claim = db.claim_next(experiment_id, worker)
-            if claim is None:
-                break
-            case_index, payload = claim
-            spec = CaseSpec.from_payload(payload)
-            try:
-                self.run_case(spec.names, spec.qos_flags,
-                              spec.goal_fractions, spec.policy)
-            except BaseException as error:
-                db.mark_failed(experiment_id, case_index, repr(error))
-                raise
-            self._record_isolated(sweep_reg, spec.names)
-            db.mark_done(experiment_id, case_index)
-            completed += 1
-            self._fault_check(completed)
+    def _prefetch_isolated(self, names: List[str]) -> None:
+        """Compute the isolated IPCs of ``names`` that are not cached."""
+        if self.cache is not None:
+            still_needed = []
+            for name in names:
+                cached = self.cache.get_isolated(self._isolated_key(name))
+                if cached is not None:
+                    self._isolated[name] = cached
+                else:
+                    still_needed.append(name)
+            names = still_needed
+        argument_list = [(self.gpu, self.cycles, self.warmup_cycles, name)
+                         for name in names]
+        ipcs = pool_map(_isolated_task, argument_list, self.workers)
+        for name, ipc in zip(names, ipcs):
+            self._isolated[name] = ipc
+            if self.cache is not None:
+                self.cache.put_isolated(self._isolated_key(name), ipc)
 
     # ---------------------------------------------------------- conveniences
 
@@ -466,12 +378,19 @@ class CaseRunner:
                  policy: str) -> CaseRecord:
         """Run a trio with the first ``qos_count`` kernels as QoS kernels,
         all sharing the same goal fraction (the paper's trio protocol)."""
-        if not 1 <= qos_count < len(names):
-            raise ValueError("qos_count must leave at least one non-QoS kernel")
-        flags = tuple(i < qos_count for i in range(len(names)))
-        fractions = tuple(goal if flag else None for flag in flags)
-        return self.run_case(tuple(names), flags, fractions, policy)
+        spec = CaseSpec.trio(names, qos_count, goal, policy)
+        return self.run_case(spec.names, spec.qos_flags, spec.goal_fractions,
+                             policy)
 
-    @property
-    def cached_cases(self) -> int:
-        return len(self._cases)
+
+class ParallelCaseRunner(CaseRunner):
+    """A :class:`CaseRunner` whose sweeps fan out over a process pool of
+    ``workers`` (default: ``REPRO_WORKERS``, else ``cpu_count() - 1``)."""
+
+    def __init__(self, gpu: GPUConfig, cycles: int,
+                 warmup_cycles: Optional[int] = None, cache=None,
+                 workers: Optional[int] = None, telemetry: bool = False,
+                 expdb=None):
+        super().__init__(gpu, cycles, warmup_cycles, cache=cache,
+                         telemetry=telemetry, expdb=expdb)
+        self.workers = resolve_workers(workers)

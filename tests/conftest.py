@@ -7,6 +7,9 @@ multi-scheduler paths.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.config import FAST_GPU, GPUConfig, MemoryConfig, SMConfig
@@ -93,3 +96,27 @@ def run_isolated(spec: KernelSpec, gpu: GPUConfig, cycles: int = 4000):
 @pytest.fixture
 def parboil_sgemm() -> KernelSpec:
     return get_kernel("sgemm")
+
+
+@pytest.fixture
+def kill_pool_worker(monkeypatch):
+    """``install(cls, method, victim)`` patches ``cls.method`` so that a pool
+    worker calling it with arguments ``victim(*args)`` accepts dies at once
+    through ``os._exit`` — no exception, no cleanup, like a killed process.
+    Calls in the test process itself run unchanged.  The class-level patch
+    reaches pool workers because they are forked from the test process."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the patch only when forked")
+    parent = os.getpid()
+
+    def install(cls, method, victim):
+        original = getattr(cls, method)
+
+        def dying(runner, *args):
+            if os.getpid() != parent and victim(*args):
+                os._exit(1)
+            return original(runner, *args)
+
+        monkeypatch.setattr(cls, method, dying)
+
+    return install

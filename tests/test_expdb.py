@@ -19,8 +19,8 @@ from repro.harness.cache import (CaseCache, code_salt, experiment_id_for,
                                  sweep_grid_payload)
 from repro.harness.expdb import (ExperimentDB, default_expdb_path,
                                  expdb_disabled_by_env, open_default_expdb)
-from repro.harness.parallel import ParallelCaseRunner
-from repro.harness.runner import CaseRunner, CaseSpec, SweepInterrupted
+from repro.harness.runner import (CaseRunner, CaseSpec, ParallelCaseRunner,
+                                  SweepInterrupted)
 
 CYCLES = 4000
 

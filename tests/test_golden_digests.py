@@ -11,15 +11,21 @@ digests pin the output itself:
   background kernel, telemetry on);
 * a barrier-heavy pair (``sgemm`` + ``cutcp``, one TB-wide barrier per loop
   body each), so barrier release and the warps it retires are covered;
+* an evicting pair (``stencil`` + ``sad`` under ``rollover`` for 10 000
+  cycles, which evicts TBs under both issue policies), so TB re-allocation
+  by eviction is covered — no golden pair above evicts under rollover;
 * three small served cases through :meth:`ServeRunner.run_spec`, so mid-run
   launches and finite-grid retirement are covered: a Poisson stream under
   ``gto`` and ``lrr``, and a bursty stream behind a one-deep queue cap
   (``cap:1``), so admission rejections are covered too.
 
 A co-run case digests ``record_to_dict(record)``; a served case digests
-``ServeCaseOutcome.to_value()``; both as sorted-key JSON.  The digests are
-also recomputed in fresh interpreters under two ``PYTHONHASHSEED`` values,
-so results cannot depend on string hashing or set order.  A change meant
+``ServeCaseOutcome.to_value()``; both as sorted-key JSON.  The co-run and
+served cases are also swept through the sweep engine — over a process
+pool, and interrupted then resumed — and must reproduce the same digests.
+The digests are also recomputed in fresh interpreters under two
+``PYTHONHASHSEED`` values, so results cannot depend on string hashing or
+set order.  A change meant
 to alter simulated results regenerates the file with::
 
     PYTHONPATH=src python -m tests.test_golden_digests
@@ -34,12 +40,15 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.config import GPUConfig, SMConfig
-from repro.harness.cache import record_to_dict
-from repro.harness.runner import CaseRunner
+from repro.harness.cache import CaseCache, record_to_dict
+from repro.harness.expdb import ExperimentDB
+from repro.harness.runner import (CaseRunner, CaseSpec, ParallelCaseRunner,
+                                  SweepInterrupted)
 from repro.serve.runner import ServeRunner, ServeSpec
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -54,10 +63,14 @@ CYCLES = 2500
 PAIRS = {
     "corun": ("mri-q", "lbm", 0.6),
     "barrier": ("sgemm", "cutcp", 0.5),
+    "evict": ("stencil", "sad", 0.5),
 }
 #: Schemes the barrier-heavy pair runs (quota throttling, TB
 #: re-allocation with eviction, and the unmanaged baseline).
 BARRIER_SCHEMES = ("smk", "rollover", "spart")
+#: Measured cycles per case family, where not :data:`CYCLES`: the evicting
+#: pair needs 10 000 cycles before rollover re-allocates TBs by eviction.
+FAMILY_CYCLES = {"evict": 10_000}
 
 SERVE_SPEC = ServeSpec(
     process="poisson", params=(("mean_interarrival_cycles", 1500.0),),
@@ -97,6 +110,7 @@ def case_keys():
     for policy in POLICIES:
         keys += [f"corun/{policy}/{scheme}" for scheme in SCHEMES]
         keys += [f"barrier/{policy}/{scheme}" for scheme in BARRIER_SCHEMES]
+        keys.append(f"evict/{policy}/rollover")
     return keys + list(SERVE_KEYS)
 
 
@@ -104,6 +118,13 @@ def serve(core, policy, name):
     """The served case ``serve/<policy>/<name>``, simulated on ``core``."""
     return ServeRunner(gpu_config(core, policy),
                        workers=1).run_spec(SERVE_SPECS[name])
+
+
+def corun_spec(key):
+    """The co-run case ``<family>/<policy>/<scheme>`` as a spec."""
+    family, _policy, scheme = key.split("/")
+    qos, nonqos, goal = PAIRS[family]
+    return CaseSpec.pair(qos, nonqos, goal, scheme)
 
 
 def compute(core, keys):
@@ -115,13 +136,14 @@ def compute(core, keys):
         if family == "serve":
             digests[key] = _digest(serve(core, policy, scheme).to_value())
             continue
-        runner = runners.get(policy)
+        cycles = FAMILY_CYCLES.get(family, CYCLES)
+        runner = runners.get((policy, cycles))
         if runner is None:
-            runner = runners[policy] = CaseRunner(
-                gpu_config(core, policy), CYCLES, telemetry=True)
-        qos, nonqos, goal = PAIRS[family]
-        record = runner.run_case((qos, nonqos), (True, False),
-                                 (goal, None), scheme)
+            runner = runners[policy, cycles] = CaseRunner(
+                gpu_config(core, policy), cycles, telemetry=True)
+        spec = corun_spec(key)
+        record = runner.run_case(spec.names, spec.qos_flags,
+                                 spec.goal_fractions, spec.policy)
         digests[key] = _digest(record_to_dict(record))
     return digests
 
@@ -143,10 +165,65 @@ class TestGoldenDigests:
             1 for record in outcome.records if not record.admitted)
 
     @pytest.mark.parametrize("policy", POLICIES)
+    def test_evicting_case_evicts(self, policy):
+        # The evict/* digests only guard TB re-allocation if it happens.
+        runner = CaseRunner(gpu_config("event", policy),
+                            FAMILY_CYCLES["evict"], telemetry=True)
+        spec = corun_spec(f"evict/{policy}/rollover")
+        record = runner.run_case(spec.names, spec.qos_flags,
+                                 spec.goal_fractions, spec.policy)
+        assert record.evictions > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("core", ["event", "scan"])
     def test_matches_golden(self, golden, core, policy):
         keys = [key for key in case_keys() if key.split("/")[1] == policy]
         assert compute(core, keys) == {key: golden[key] for key in keys}
+
+
+class TestSweepsMatchGolden:
+    """The ``corun/*`` and ``serve/*`` cases swept through the sweep engine
+    reproduce the digests of the direct calls above: over two pool
+    workers, and interrupted half-way over the pool then resumed serially
+    from the experiment store and case cache."""
+
+    @staticmethod
+    def sweep(make, specs, mode, tmp_path):
+        if mode == "pool":
+            return make(workers=2).sweep(specs)
+        db_path = tmp_path / "exp.sqlite"
+        interrupted = make(workers=2, expdb=ExperimentDB(db_path),
+                           cache=CaseCache(tmp_path))
+        interrupted.fault_after = max(1, len(specs) // 2)
+        with pytest.raises(SweepInterrupted):
+            interrupted.sweep(specs)
+        db = ExperimentDB(db_path)
+        resumed = make(workers=1, expdb=db, cache=CaseCache(tmp_path))
+        outcomes = resumed.sweep(specs)
+        assert db.experiment(resumed.experiment_log[0][0])["status"] == "done"
+        return outcomes
+
+    @pytest.mark.parametrize("mode", ["pool", "resume"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_sweeps_reproduce_digests(self, golden, tmp_path, policy, mode):
+        gpu = gpu_config("event", policy)
+        corun_keys = [f"corun/{policy}/{scheme}" for scheme in SCHEMES]
+        serve_keys = [key for key in SERVE_KEYS
+                      if key.split("/")[1] == policy]
+        records = self.sweep(
+            partial(ParallelCaseRunner, gpu, CYCLES, telemetry=True),
+            [corun_spec(key) for key in corun_keys], mode,
+            tmp_path / "corun")
+        outcomes = self.sweep(
+            partial(ServeRunner, gpu),
+            [SERVE_SPECS[key.split("/")[2]] for key in serve_keys], mode,
+            tmp_path / "serve")
+        digests = {key: _digest(record_to_dict(record))
+                   for key, record in zip(corun_keys, records)}
+        digests.update((key, _digest(outcome.to_value()))
+                       for key, outcome in zip(serve_keys, outcomes))
+        assert digests == {key: golden[key]
+                           for key in corun_keys + serve_keys}
 
 
 class TestHashSeedIndependence:

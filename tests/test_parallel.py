@@ -3,9 +3,10 @@
 import pytest
 
 from repro.config import FAST_GPU
-from repro.harness.cache import CaseCache
-from repro.harness.parallel import ParallelCaseRunner, resolve_workers
-from repro.harness.runner import CaseRunner, CaseSpec
+from repro.harness.cache import CaseCache, record_to_dict
+from repro.harness.expdb import ExperimentDB
+from repro.harness.parallel import resolve_workers
+from repro.harness.runner import CaseRunner, CaseSpec, ParallelCaseRunner
 from repro.kernels import get_kernel
 from repro.qos import QoSPolicy
 from repro.sim import GPUSimulator, LaunchedKernel
@@ -86,6 +87,30 @@ class TestSweepEquivalence:
                                   cache=warm_cache)
         assert warm.sweep(SPECS) == serial_records
         assert warm_cache.hits >= len(SPECS)
+
+
+class TestHardKilledWorker:
+    """A pool worker that dies mid-sweep (``os._exit``, so the pool breaks
+    rather than a task raising) leaves its claims running; the engine
+    releases them and finishes the grid serially, byte-identically."""
+
+    def test_records_match_serial_and_experiment_ends_done(
+            self, tmp_path, serial_records, kill_pool_worker):
+        kill_pool_worker(CaseRunner, "run_case",
+                         lambda *args: CaseSpec(*args) == SPECS[1])
+        db = ExperimentDB(tmp_path / "exp.sqlite")
+        parallel = ParallelCaseRunner(FAST_GPU, CYCLES, workers=2, expdb=db)
+        records = parallel.sweep(SPECS)
+        assert ([record_to_dict(record) for record in records]
+                == [record_to_dict(record) for record in serial_records])
+        experiment_id = parallel.experiment_log[0][0]
+        assert db.experiment(experiment_id)["status"] == "done"
+        workers = [case["worker"] for case in db.cases(experiment_id)]
+        assert any("serial:" in worker for worker in workers)
+
+    @pytest.fixture(scope="class")
+    def serial_records(self):
+        return CaseRunner(FAST_GPU, CYCLES).sweep(SPECS)
 
 
 class TestTelemetrySweepEquivalence:

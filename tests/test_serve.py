@@ -7,7 +7,9 @@ Covers the subsystem's determinism contract end to end:
   and accounts every rejection;
 * request records round-trip strictly through the JSONL schema;
 * the serving runner's sweeps are byte-identical across serial and
-  parallel execution and across an interrupted-then-resumed experiment;
+  parallel execution, a hard-killed pool worker, and an
+  interrupted-then-resumed experiment (also resumed through
+  ``repro exp resume``);
 * the ``serve`` cache kind sits inside the code salt (SALT001 regression).
 """
 
@@ -306,6 +308,49 @@ class TestServeRunner:
                               workers=workers)
         outcomes = resumed.sweep(SPECS)
         assert db.experiment(resumed.experiment_log[0][0])["status"] == "done"
+        assert dump(outcomes) == dump(clean_outcomes)
+
+    def test_hard_killed_worker_falls_back_to_serial(self, tmp_path,
+                                                     clean_outcomes,
+                                                     kill_pool_worker):
+        kill_pool_worker(ServeRunner, "run_spec",
+                         lambda spec: spec == SPECS[1])
+        db = ExperimentDB(tmp_path / "exp.sqlite")
+        runner = ServeRunner(GPU, expdb=db, workers=2)
+        assert dump(runner.sweep(SPECS)) == dump(clean_outcomes)
+        experiment_id = runner.experiment_log[0][0]
+        assert db.experiment(experiment_id)["status"] == "done"
+        workers = [case["worker"] for case in db.cases(experiment_id)]
+        assert any("serial:" in worker for worker in workers)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_exp_cli_shows_and_resumes_a_serving_sweep(
+            self, tmp_path, monkeypatch, capsys, workers, clean_outcomes):
+        from repro.harness.expcli import main
+        monkeypatch.setenv("REPRO_EXPDB", str(tmp_path / "exp.sqlite"))
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
+        db = ExperimentDB(tmp_path / "exp.sqlite")
+        interrupted = ServeRunner(GPU, cache=CaseCache(tmp_path / "cache"),
+                                  expdb=db, workers=1)
+        interrupted.fault_after = 1
+        with pytest.raises(SweepInterrupted):
+            interrupted.sweep(SPECS)
+        experiment_id = interrupted.experiment_log[0][0]
+
+        assert main(["show", experiment_id]) == 0
+        out = capsys.readouterr().out
+        assert "serving sweep" in out and "pending" in out
+        assert main(["resume", experiment_id, "--workers", workers]) == 0
+        assert db.experiment(experiment_id)["status"] == "done"
+
+        class _Bomb:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a resumed serving case re-simulated")
+
+        monkeypatch.setattr("repro.serve.runner.Dispatcher", _Bomb)
+        cached = ServeRunner(GPU, cache=CaseCache(tmp_path / "cache"),
+                             workers=1)
+        outcomes = [cached.run_spec(spec) for spec in SPECS]
         assert dump(outcomes) == dump(clean_outcomes)
 
     def test_unknown_process_and_admission_rejected(self):
